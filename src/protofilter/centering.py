@@ -39,11 +39,25 @@ def _validated_gram(k_ss) -> np.ndarray:
 
 def _validated_cross(k: np.ndarray, kappa_qs) -> np.ndarray:
     kappa = np.asarray(kappa_qs, dtype=np.float64)
-    if kappa.ndim != 1:
-        raise DataError(f"cross kernel values must be 1-D, got shape {kappa.shape}")
-    if kappa.shape[0] != k.shape[0]:
-        raise DimensionMismatchError(k.shape[0], kappa.shape[0], "cross kernel values")
+    if kappa.ndim not in (1, 2):
+        raise DataError(f"cross kernel values must be 1-D or (m, n), got shape {kappa.shape}")
+    if kappa.shape[-1] != k.shape[0]:
+        raise DimensionMismatchError(k.shape[0], kappa.shape[-1], "cross kernel values")
     return kappa
+
+
+def _clamp_negative(values, tol: float, what: str, hint: str = ""):
+    """Zero the entries of ``values`` in (-tol, 0) and raise on any below
+    -tol, naming the first such row of a block.  0-d input gives a float."""
+    v = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(v < -tol)
+    if bad.size:
+        row = f" in row {bad[0]}" if v.ndim else ""
+        raise NumericalError(
+            f"{what} {v.flat[bad[0]]:.3e}{row} is negative beyond tolerance {tol:g}{hint}"
+        )
+    v = np.where(v < 0.0, 0.0, v)
+    return float(v) if v.ndim == 0 else v
 
 
 def center_support(k_ss) -> np.ndarray:
@@ -61,7 +75,7 @@ def center_support(k_ss) -> np.ndarray:
 
 
 def center_cross(k_ss, kappa_qs) -> np.ndarray:
-    """Centered query/support cross vector.
+    """Centered query/support cross vector (one row per query for a block).
 
     Entry i is kappa[i] - mean(kappa) - rowmean_i(K) + grandmean(K): the
     inner product of the mean-subtracted query feature with the i-th
@@ -69,26 +83,24 @@ def center_cross(k_ss, kappa_qs) -> np.ndarray:
     """
     k = _validated_gram(k_ss)
     kappa = _validated_cross(k, kappa_qs)
-    return kappa - kappa.mean() - k.mean(axis=1) + k.mean()
+    return kappa - kappa.mean(axis=-1, keepdims=True) - k.mean(axis=1) + k.mean()
 
 
-def centered_query_norm(k_ss, kappa_qs, k_qq) -> float:
+def centered_query_norm(k_ss, kappa_qs, k_qq) -> float | np.ndarray:
     """Squared feature-space distance from the query to the class prototype.
 
-    k_qq + grandmean(K) - 2 mean(kappa).  Values in (-QUERY_NORM_TOL, 0)
-    clamp to zero; anything more negative raises.
+    k_qq + grandmean(K) - 2 mean(kappa), per row of a block.  Values in
+    (-QUERY_NORM_TOL, 0) clamp to zero; anything more negative raises.
     """
     k = _validated_gram(k_ss)
     kappa = _validated_cross(k, kappa_qs)
-    value = float(k_qq) + float(k.mean()) - 2.0 * float(kappa.mean())
-    if value < 0.0:
-        if value < -QUERY_NORM_TOL:
-            raise NumericalError(
-                f"centered query norm {value:.3e} is negative beyond tolerance "
-                f"{QUERY_NORM_TOL:g}; the kernel may not be positive semidefinite"
-            )
-        return 0.0
-    return value
+    qq = np.asarray(k_qq, dtype=np.float64)
+    if qq.shape != kappa.shape[:-1]:
+        raise DataError(f"query self-kernel shape {qq.shape} does not match {kappa.shape[:-1]}")
+    return _clamp_negative(
+        qq + k.mean() - 2.0 * kappa.mean(axis=-1), QUERY_NORM_TOL, "centered query norm",
+        "; the kernel may not be positive semidefinite",
+    )
 
 
 def centered_gram(k_ss, kappa_qs, k_qq) -> CenteredGram:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centering import center_cross, center_support, centered_query_norm
+from .centering import _clamp_negative, center_cross, center_support, centered_query_norm
 from .errors import (
     ConfigurationError,
     DataError,
@@ -62,39 +62,37 @@ def _with_context(exc: ProtofilterError, context: str) -> ProtofilterError:
 
 def shrinkage_coefficients(filter_mat, cross) -> np.ndarray:
     """Expansion coefficients of the removed component over the centered
-    support features: the filter matrix applied to the cross vector."""
+    support features: the filter matrix applied to the cross vector (B G
+    for a block of cross rows, as G is symmetric)."""
     g = np.asarray(filter_mat, dtype=np.float64)
     b = np.asarray(cross, dtype=np.float64)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DataError(f"filter matrix must be square, got shape {g.shape}")
-    if b.ndim != 1 or b.shape[0] != g.shape[0]:
-        raise DimensionMismatchError(g.shape[0], b.shape[0] if b.ndim == 1 else -1, "cross vector")
-    return g @ b
+    if b.ndim not in (1, 2) or b.shape[-1] != g.shape[0]:
+        raise DimensionMismatchError(g.shape[0], b.shape[-1] if b.ndim else -1, "cross vector")
+    return b @ g
 
 
-def distance_sq(coefficients, ktilde_ss, cross, query_norm: float) -> float:
+def distance_sq(coefficients, ktilde_ss, cross, query_norm) -> float | np.ndarray:
     """Squared norm of the filtered relative prototype.
 
-    a^T Kt a + q_norm - 2 a^T b.  Values in (-DISTANCE_TOL, 0) clamp to
-    zero; more negative ones raise instead of being silently hidden.
+    a^T Kt a + q_norm - 2 a^T b, per row of a block.  Values in
+    (-DISTANCE_TOL, 0) clamp to zero; more negative ones raise.
     """
     a = np.asarray(coefficients, dtype=np.float64)
     k = np.asarray(ktilde_ss, dtype=np.float64)
     b = np.asarray(cross, dtype=np.float64)
+    qn = np.asarray(query_norm, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise DataError(f"centered Gram must be square, got shape {k.shape}")
-    if a.shape != (k.shape[0],) or b.shape != (k.shape[0],):
+    if a.ndim not in (1, 2) or a.shape[-1] != k.shape[0] or b.shape != a.shape:
         raise DataError(
             f"coefficients {a.shape} and cross vector {b.shape} must both have length {k.shape[0]}"
         )
-    value = float(a @ k @ a) + float(query_norm) - 2.0 * float(a @ b)
-    if value < 0.0:
-        if value < -DISTANCE_TOL:
-            raise NumericalError(
-                f"squared distance {value:.3e} is negative beyond tolerance {DISTANCE_TOL:g}"
-            )
-        return 0.0
-    return value
+    if qn.shape != a.shape[:-1]:
+        raise DataError(f"query norm shape {qn.shape} does not match {a.shape[:-1]}")
+    value = np.einsum("...i,...i->...", a @ k, a) + qn - 2.0 * np.einsum("...i,...i->...", a, b)
+    return _clamp_negative(value, DISTANCE_TOL, "squared distance")
 
 
 def explicit_feature_distance(support, query, filter_spec: FilterSpec, lam: float) -> float:
@@ -164,18 +162,20 @@ def dsn_distance(support, query, subspace_dim: int) -> float:
 
 
 def class_probabilities(dist_sq, zeta: float) -> np.ndarray:
-    """Softmax of -zeta * d^2 over classes, max-subtracted for stability."""
+    """Softmax of -zeta * d^2 over classes (the last axis), max-subtracted."""
     d = np.asarray(dist_sq, dtype=np.float64)
-    if d.ndim != 1 or d.shape[0] < 2:
+    if d.ndim not in (1, 2) or d.shape[-1] < 2:
         raise DataError(f"need distances for at least two classes, got shape {d.shape}")
     if not zeta > 0:
         raise ConfigurationError(f"metric scaling zeta must be positive, got {zeta}")
-    if not np.all(np.isfinite(d)):
-        raise NumericalError("class distances must all be finite")
+    bad = np.flatnonzero(~np.isfinite(d).all(axis=-1))
+    if bad.size:
+        row = f" in row {bad[0]}" if d.ndim == 2 else ""
+        raise NumericalError(f"class distances{row} must all be finite")
     logits = -float(zeta) * d
-    logits -= logits.max()
+    logits -= logits.max(axis=-1, keepdims=True)
     weights = np.exp(logits)
-    return weights / weights.sum()
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def episode_loss(probs, labels) -> float:
@@ -199,14 +199,14 @@ def classify_episode(episode, kernel: KernelSpec, filter_spec: FilterSpec,
     """Classify every query of an episode against its support classes.
 
     Per class the Gram matrix, centering, eigendecomposition, resolved
-    shrinkage parameter, and filter matrix are computed once and reused
-    across queries; per query only the kernel row, centered cross vector,
-    query norm, shrinkage coefficients, and distance remain.  Errors are
-    re-raised with class/query context attached.
+    shrinkage parameter, and filter matrix are computed once, then the
+    kernel rows, cross vectors, query norms, coefficients and distances of
+    the whole query block.  Errors are re-raised with class context; a
+    block check names its offending row, which is the query index.
     """
     spec = resolve_kernel(kernel, episode.dim)
-    m = episode.query_features.shape[0]
-    dists = np.empty((m, episode.way))
+    queries = episode.query_features
+    dists = np.empty((queries.shape[0], episode.way))
     for c in range(episode.way):
         support = episode.support[c]
         try:
@@ -214,24 +214,17 @@ def classify_episode(episode, kernel: KernelSpec, filter_spec: FilterSpec,
             ktilde = center_support(k_ss)
             eigensystem = symmetric_eig(ktilde)
             lam = resolve_lambda(filter_spec.lambda_policy, eigensystem)
-            g = filter_matrix(eigensystem, filter_spec, lam)
+            # no spread (1-shot): zero cross vector, nothing to filter, and h
+            # may be undefined (a relative policy resolves lambda = gamma = 0)
+            g = (filter_matrix(eigensystem, filter_spec, lam) if eigensystem.max_value > 0.0
+                 else np.zeros_like(ktilde))
+            kappa, k_qq = gram_query(spec, support, queries)
+            b = center_cross(k_ss, kappa)
+            q_norm = centered_query_norm(k_ss, kappa, k_qq)
+            dists[:, c] = distance_sq(shrinkage_coefficients(g, b), ktilde, b, q_norm)
         except ProtofilterError as exc:
             raise _with_context(exc, f"class {c} ({episode.class_labels[c]})")
-        for l in range(m):
-            try:
-                kappa, k_qq = gram_query(spec, support, episode.query_features[l])
-                b = center_cross(k_ss, kappa)
-                q_norm = centered_query_norm(k_ss, kappa, k_qq)
-                coeffs = shrinkage_coefficients(g, b)
-                dists[l, c] = distance_sq(coeffs, ktilde, b, q_norm)
-            except ProtofilterError as exc:
-                raise _with_context(exc, f"class {c} ({episode.class_labels[c]}), query {l}")
-    probs = np.empty_like(dists)
-    for l in range(m):
-        try:
-            probs[l] = class_probabilities(dists[l], zeta)
-        except ProtofilterError as exc:
-            raise _with_context(exc, f"query {l}")
+    probs = class_probabilities(dists, zeta)
     predicted = dists.argmin(axis=1)
     loss = episode_loss(probs, episode.query_labels)
     return EpisodeResult(dists, probs, predicted, loss)

@@ -39,20 +39,6 @@ class KernelSpec:
             )
 
 
-@dataclass(frozen=True)
-class GramBundle:
-    """Raw kernel quantities for one (support class, query) pair.
-
-    ``kappa_qs`` and ``k_qq`` are the compact forms of the replicated
-    n x n query/support and query/query blocks: the former's columns are
-    all identical, the latter's entries all equal k(q, q).
-    """
-
-    k_ss: np.ndarray
-    kappa_qs: np.ndarray
-    k_qq: float
-
-
 def default_rbf_bandwidth(dim: int) -> float:
     """Default RBF bandwidth sigma^2: the embedding dimension."""
     if dim < 1:
@@ -121,25 +107,22 @@ def gram_support(spec: KernelSpec, support) -> np.ndarray:
     return 0.5 * (k + k.T)
 
 
-def gram_query(spec: KernelSpec, support, query) -> tuple[np.ndarray, float]:
-    """Kernel values of one query against a support set.
-
-    Returns ``(kappa, k_qq)`` with ``kappa[i] = k(s_i, q)`` and
-    ``k_qq = k(q, q)``.
+def gram_query(spec: KernelSpec, support, query) -> tuple[np.ndarray, float | np.ndarray]:
+    """Kernel values of one query, or of each row of an (m, d) query block,
+    against a support set: ``(kappa, k_qq)`` with ``kappa[..., i] = k(s_i, q)``
+    and ``k_qq = k(q, q)``, a float for one query and an (m,) vector for a block.
     """
     s = _as_matrix(support)
-    q = _as_vector(query, "query")
-    if q.shape[0] != s.shape[1]:
-        raise DimensionMismatchError(s.shape[1], q.shape[0], "query vector")
+    q = np.asarray(query, dtype=np.float64)
+    if q.ndim not in (1, 2):
+        raise DataError(f"query must be a vector or an (m, d) block, got shape {q.shape}")
+    if q.shape[-1] != s.shape[1]:
+        raise DimensionMismatchError(s.shape[1], q.shape[-1], "query vector")
     if spec.kind is KernelKind.IDENTITY:
-        return s @ q, float(q @ q)
-    diff = s - q[None, :]
-    sq = np.einsum("ij,ij->i", diff, diff)
-    return np.exp(-sq / (2.0 * _rbf_bandwidth(spec))), 1.0
+        kappa, k_qq = q @ s.T, np.einsum("...j,...j->...", q, q)
+    else:
+        diff = q[..., None, :] - s
+        sq = np.einsum("...ij,...ij->...i", diff, diff)
+        kappa, k_qq = np.exp(-sq / (2.0 * _rbf_bandwidth(spec))), np.ones(q.shape[:-1])
+    return kappa, (float(k_qq) if q.ndim == 1 else k_qq)
 
-
-def gram_bundle(spec: KernelSpec, support, query) -> GramBundle:
-    """Convenience constructor for all raw kernel quantities at once."""
-    k_ss = gram_support(spec, support)
-    kappa, k_qq = gram_query(spec, support, query)
-    return GramBundle(k_ss, kappa, k_qq)

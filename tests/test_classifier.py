@@ -21,9 +21,14 @@ from protofilter import (
     Episode,
     FilterKind,
     FilterSpec,
+    Jitter,
     NumericalError,
     ProtofilterError,
     RelativeToMaxEigenvalue,
+    apply_one_shot_policy,
+    center_cross,
+    center_support,
+    centered_query_norm,
     class_probabilities,
     classify_episode,
     distance_sq,
@@ -31,16 +36,26 @@ from protofilter import (
     episode_loss,
     explicit_feature_distance,
     filter_matrix,
+    gram_query,
+    gram_support,
     protonet_distance,
     replicated_matrix_distance,
+    resolve_lambda,
     shrinkage_coefficients,
     symmetric_eig,
 )
+from protofilter import classifier
 
 TIK2 = FilterSpec(FilterKind.TIKHONOV, AbsoluteLambda(2.0))
 TSVD1 = FilterSpec(FilterKind.TRUNCATED_SVD, AbsoluteLambda(1.0))
 ZERO = FilterSpec(FilterKind.ZERO, AbsoluteLambda(0.0))
 LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
+# every filter under both shrinkage policies
+FILTER_GRID = tuple(
+    FilterSpec(kind, policy)
+    for kind in FilterKind
+    for policy in (AbsoluteLambda(0.5), RelativeToMaxEigenvalue(0.1))
+)
 
 
 def _fixture_pieces():
@@ -274,15 +289,17 @@ class TestClassifyEpisode:
     def test_matches_scalar_operation_composition(self):
         rng = np.random.default_rng(45)
         episode = _two_class_episode(rng, way=3, shot=4, queries=2, d=5)
-        spec = rbf_for(5)
-        filter_spec = FilterSpec(FilterKind.TIKHONOV, RelativeToMaxEigenvalue(0.1))
-        result = classify_episode(episode, spec, filter_spec)
-        for c in range(3):
-            for l in range(episode.query_features.shape[0]):
-                expected = kernel_distance(
-                    spec, episode.support[c], episode.query_features[l], filter_spec
-                )
-                assert result.dist_sq[l, c] == pytest.approx(expected, abs=1e-10)
+        m = episode.query_features.shape[0]
+        for spec in (IDENTITY, rbf_for(5)):
+            for filter_spec in FILTER_GRID:
+                result = classify_episode(episode, spec, filter_spec)
+                expected = np.array([
+                    [kernel_distance(spec, episode.support[c], episode.query_features[l],
+                                     filter_spec) for c in range(3)]
+                    for l in range(m)
+                ])
+                np.testing.assert_allclose(result.dist_sq, expected, rtol=1e-12, atol=0.0)
+                np.testing.assert_array_equal(result.predicted, expected.argmin(axis=1))
 
     def test_errors_carry_class_context(self):
         rng = np.random.default_rng(46)
@@ -291,6 +308,109 @@ class TestClassifyEpisode:
         with pytest.raises(ConfigurationError) as err:
             classify_episode(episode, IDENTITY, bad)
         assert "class 0" in str(err.value)
+
+    def test_block_errors_carry_class_and_row(self, monkeypatch):
+        rng = np.random.default_rng(57)
+        episode = _two_class_episode(rng, way=3, shot=3, queries=2, d=4)
+        real = classifier.gram_query
+
+        def corrupted(spec, support, queries):
+            kappa, k_qq = real(spec, support, queries)
+            if support is episode.support[1]:
+                k_qq = k_qq.copy()
+                k_qq[4] -= 1e3  # drives query 4's centered norm negative
+            return kappa, k_qq
+
+        monkeypatch.setattr(classifier, "gram_query", corrupted)
+        with pytest.raises(NumericalError) as err:
+            classify_episode(episode, IDENTITY, TIK2)
+        assert "class 1 (k1)" in str(err.value)
+        assert "row 4" in str(err.value)
+
+    def test_one_shot_every_filter_and_policy(self):
+        rng = np.random.default_rng(58)
+        episode = _two_class_episode(rng, way=3, shot=1, queries=2, d=5)
+        jittered = apply_one_shot_policy(episode, Jitter(0.1), rng)
+        for spec in (IDENTITY, rbf_for(5)):
+            zero = classify_episode(episode, spec, ZERO)
+            zero_jittered = classify_episode(jittered, spec, ZERO)
+            for filter_spec in FILTER_GRID:
+                plain = classify_episode(episode, spec, filter_spec)
+                np.testing.assert_array_equal(plain.dist_sq, zero.dist_sq)
+                np.testing.assert_array_equal(plain.probs, zero.probs)
+                shrunk = classify_episode(jittered, spec, filter_spec)
+                assert np.all(shrunk.dist_sq >= 0.0)
+                assert np.all(shrunk.dist_sq <= zero_jittered.dist_sq + 1e-12)
+
+
+class TestQueryBlocks:
+    """Every per-query function takes an (m, ...) block; each row of the
+    result is what a 1-D call on that row returns."""
+
+    def test_block_equals_stacked_rows(self):
+        rng = np.random.default_rng(59)
+        support = rng.standard_normal((5, 4))
+        queries = rng.standard_normal((6, 4))
+        for spec in (IDENTITY, rbf_for(4)):
+            k_ss = gram_support(spec, support)
+            ktilde = center_support(k_ss)
+            system = symmetric_eig(ktilde)
+            for filter_spec in FILTER_GRID:
+                lam = resolve_lambda(filter_spec.lambda_policy, system)
+                g = filter_matrix(system, filter_spec, lam)
+                rows = []
+                for q in queries:
+                    kappa, k_qq = gram_query(spec, support, q)
+                    b = center_cross(k_ss, kappa)
+                    qn = centered_query_norm(k_ss, kappa, k_qq)
+                    a = shrinkage_coefficients(g, b)
+                    d = distance_sq(a, ktilde, b, qn)
+                    assert isinstance(k_qq, float) and isinstance(qn, float)
+                    assert isinstance(d, float)
+                    rows.append((kappa, k_qq, b, qn, a, d))
+                kappa, k_qq = gram_query(spec, support, queries)
+                b = center_cross(k_ss, kappa)
+                qn = centered_query_norm(k_ss, kappa, k_qq)
+                a = shrinkage_coefficients(g, b)
+                d = distance_sq(a, ktilde, b, qn)
+                for block, stacked in zip((kappa, k_qq, b, qn, a, d), zip(*rows)):
+                    stacked = np.array(stacked)
+                    assert block.shape == stacked.shape
+                    np.testing.assert_allclose(
+                        block, stacked, rtol=1e-12, atol=1e-12 * np.abs(stacked).max()
+                    )
+
+    def test_probabilities_block_equals_stacked_rows(self):
+        rng = np.random.default_rng(60)
+        dists = rng.uniform(0.0, 5.0, size=(7, 4))
+        block = class_probabilities(dists, 0.8)
+        stacked = np.array([class_probabilities(row, 0.8) for row in dists])
+        np.testing.assert_allclose(block, stacked, rtol=1e-15, atol=0.0)
+
+    def test_block_checks_name_first_bad_row(self):
+        # rows 2 and 3 fail; the message names row 2, the first
+        with pytest.raises(NumericalError, match="row 2"):
+            centered_query_norm([[1.0]], [[1.0]] * 4, [1.0, 1.0, 1.0 - 1e-6, 0.0])
+        with pytest.raises(NumericalError, match="row 1"):
+            distance_sq([[0.0], [1.0]], [[0.0]], [[0.0], [1.0]], [0.0, 0.0])
+        with pytest.raises(NumericalError, match="row 3 must"):
+            class_probabilities([[1.0, 2.0]] * 3 + [[np.nan, 1.0]], 1.0)
+
+    def test_block_clamps_each_row(self):
+        value = centered_query_norm([[1.0]], [[1.0]] * 3, [1.0 - 5e-10, 1.0, 3.0])
+        np.testing.assert_array_equal(value, [0.0, 0.0, 2.0])
+        dist = distance_sq([[1e-10], [0.0]], [[0.0]], [[1.0], [0.0]], [0.0, 2.5])
+        np.testing.assert_array_equal(dist, [0.0, 2.5])
+
+    def test_block_shape_mismatch_rejected(self):
+        with pytest.raises(DataError):
+            centered_query_norm([[1.0]], [[1.0]] * 3, [1.0, 1.0])
+        with pytest.raises(DataError):
+            distance_sq(np.zeros((3, 2)), np.eye(2), np.zeros((2, 2)), np.zeros(3))
+        with pytest.raises(DataError):
+            distance_sq(np.zeros((3, 2)), np.eye(2), np.zeros((3, 2)), 0.0)
+        with pytest.raises(ProtofilterError):
+            shrinkage_coefficients(np.eye(2), np.zeros((3, 3)))
 
 
 class TestReplicatedMatrixDistance:

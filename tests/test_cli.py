@@ -64,6 +64,14 @@ class TestEval:
         assert code == 0
         assert "rbf" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind", ["tikhonov", "tsvd"])
+    def test_one_shot_relative_shrinkage(self, synth_json, kind, capsys):
+        # a 1-shot class resolves lambda = 0 and has only a zero eigenvalue
+        code = run(["eval", "--synth", synth_json, "--way", "3", "--shot", "1",
+                    "--query", "2", "--episodes", "3", "--filter", kind, "--rho", "0.1"])
+        assert code == 0
+        assert kind in capsys.readouterr().out
+
 
 class TestCompare:
     def test_two_methods(self, synth_json, tmp_path, capsys):

@@ -11,7 +11,6 @@ from protofilter import (
     KernelKind,
     KernelSpec,
     default_rbf_bandwidth,
-    gram_bundle,
     gram_query,
     gram_support,
     kernel_eval,
@@ -171,10 +170,3 @@ class TestBandwidthPolicy:
     def test_resolve_identity_untouched(self):
         assert resolve_kernel(IDENTITY, 8) == IDENTITY
 
-
-class TestGramBundle:
-    def test_bundle_collects_all_three(self):
-        bundle = gram_bundle(IDENTITY, [[0.0, 0.0], [2.0, 0.0]], [2.0, 1.0])
-        np.testing.assert_array_equal(bundle.k_ss, [[0.0, 0.0], [0.0, 4.0]])
-        np.testing.assert_array_equal(bundle.kappa_qs, [0.0, 4.0])
-        assert bundle.k_qq == 5.0
