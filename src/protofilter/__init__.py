@@ -8,24 +8,19 @@ with a filter function: Tikhonov 1/(gamma + lambda), truncated SVD, or
 the zero filter, which recovers the plain prototype distance.
 """
 
-from .centering import CenteredGram, center_cross, center_support, centered_gram, centered_query_norm
+from .centering import center_cross, center_support, centered_query_norm
 from .classifier import (
     EpisodeResult,
     class_probabilities,
     classify_episode,
     distance_sq,
-    dsn_distance,
     episode_loss,
-    explicit_feature_distance,
-    protonet_distance,
-    replicated_matrix_distance,
     shrinkage_coefficients,
 )
 from .data import (
     Dataset,
     Episode,
     Jitter,
-    LabeledVector,
     SYNTH_PRESETS,
     SynthConfig,
     apply_one_shot_policy,
@@ -60,7 +55,6 @@ from .kernels import (
     default_rbf_bandwidth,
     gram_query,
     gram_support,
-    kernel_eval,
     resolve_kernel,
 )
 from .spectral import (
@@ -93,7 +87,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbsoluteLambda",
-    "CenteredGram",
     "ConfigurationError",
     "DEFAULT_LAMBDA_GRID",
     "DataError",
@@ -110,7 +103,6 @@ __all__ = [
     "Jitter",
     "KernelKind",
     "KernelSpec",
-    "LabeledVector",
     "LinearEmbedding",
     "NumericalError",
     "ProtofilterError",
@@ -125,19 +117,16 @@ __all__ = [
     "build_episode",
     "center_cross",
     "center_support",
-    "centered_gram",
     "centered_query_norm",
     "class_probabilities",
     "classify_episode",
     "compare_methods",
     "default_rbf_bandwidth",
     "distance_sq",
-    "dsn_distance",
     "episode_loss",
     "episode_rngs",
     "episodes_loss",
     "evaluate",
-    "explicit_feature_distance",
     "filter_matrix",
     "filter_weight",
     "finite_difference_gradient",
@@ -145,12 +134,9 @@ __all__ = [
     "format_table",
     "gram_query",
     "gram_support",
-    "kernel_eval",
     "lambda_sweep",
     "load_csv",
     "parse_lambda_policy",
-    "protonet_distance",
-    "replicated_matrix_distance",
     "report_record",
     "resolve_kernel",
     "resolve_lambda",

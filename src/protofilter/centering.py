@@ -10,8 +10,6 @@ from the query to the prototype.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError, DimensionMismatchError, NumericalError
@@ -19,15 +17,6 @@ from .errors import DataError, DimensionMismatchError, NumericalError
 #: Negative centered query norms larger in magnitude than this indicate a
 #: non-PSD kernel or numerical corruption rather than roundoff.
 QUERY_NORM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CenteredGram:
-    """Centered quantities for one (support class, query) pair."""
-
-    ktilde_ss: np.ndarray
-    cross: np.ndarray
-    query_norm: float
 
 
 def _validated_gram(k_ss) -> np.ndarray:
@@ -102,11 +91,3 @@ def centered_query_norm(k_ss, kappa_qs, k_qq) -> float | np.ndarray:
         "; the kernel may not be positive semidefinite",
     )
 
-
-def centered_gram(k_ss, kappa_qs, k_qq) -> CenteredGram:
-    """Bundle all three centered quantities for one (class, query) pair."""
-    return CenteredGram(
-        center_support(k_ss),
-        center_cross(k_ss, kappa_qs),
-        centered_query_norm(k_ss, kappa_qs, k_qq),
-    )

@@ -1,12 +1,5 @@
 """Filtered relative-prototype distances, class probabilities, and episode
-classification.
-
-Also holds three independent reference paths used to cross-check the
-Gram-domain implementation: an explicit-feature evaluation (identity
-kernel), the prototype-only squared distance, the subspace-projection
-residual distance, and a replicated-matrix evaluation that spells out the
-full n x n blocks and works for any kernel.
-"""
+classification."""
 
 from __future__ import annotations
 
@@ -22,23 +15,8 @@ from .errors import (
     NumericalError,
     ProtofilterError,
 )
-from .kernels import (
-    KernelSpec,
-    _as_matrix,
-    _as_vector,
-    gram_query,
-    gram_support,
-    kernel_eval,
-    resolve_kernel,
-)
-from .spectral import (
-    EIGENVALUE_CLAMP,
-    FilterSpec,
-    filter_matrix,
-    filter_weight,
-    resolve_lambda,
-    symmetric_eig,
-)
+from .kernels import KernelSpec, gram_query, gram_support, resolve_kernel
+from .spectral import FilterSpec, filter_matrix, resolve_lambda, symmetric_eig
 
 #: Squared distances below -DISTANCE_TOL are an error; within it they clamp to 0.
 DISTANCE_TOL = 1e-9
@@ -93,72 +71,6 @@ def distance_sq(coefficients, ktilde_ss, cross, query_norm) -> float | np.ndarra
         raise DataError(f"query norm shape {qn.shape} does not match {a.shape[:-1]}")
     value = np.einsum("...i,...i->...", a @ k, a) + qn - 2.0 * np.einsum("...i,...i->...", a, b)
     return _clamp_negative(value, DISTANCE_TOL, "squared distance")
-
-
-def explicit_feature_distance(support, query, filter_spec: FilterSpec, lam: float) -> float:
-    """Filtered relative-prototype distance computed on explicit features
-    (identity-kernel semantics).
-
-    Builds the class mean, the unnormalized covariance sum r_i r_i^T of
-    mean-subtracted support features, takes its eigenpairs with numpy's
-    solver, removes h(gamma, lambda) * gamma times each eigencomponent of
-    (query - mean), and returns the squared norm of the remainder.  This
-    is the brute-force reference for the Gram-domain path.
-    """
-    s = _as_matrix(support)
-    q = _as_vector(query, "query")
-    if q.shape[0] != s.shape[1]:
-        raise DimensionMismatchError(s.shape[1], q.shape[0], "query vector")
-    mean = s.mean(axis=0)
-    centered = s - mean
-    cov = centered.T @ centered
-    values, vectors = np.linalg.eigh(cov)
-    rel = q - mean
-    removed = np.zeros_like(rel)
-    for gamma, w in zip(values, vectors.T):
-        if gamma <= EIGENVALUE_CLAMP:
-            continue
-        removed += filter_weight(filter_spec, float(gamma), lam) * float(gamma) * float(rel @ w) * w
-    residual = rel - removed
-    return float(residual @ residual)
-
-
-def protonet_distance(support, query) -> float:
-    """Squared distance from the query to the support mean."""
-    s = _as_matrix(support)
-    q = _as_vector(query, "query")
-    if q.shape[0] != s.shape[1]:
-        raise DimensionMismatchError(s.shape[1], q.shape[0], "query vector")
-    diff = q - s.mean(axis=0)
-    return float(diff @ diff)
-
-
-def dsn_distance(support, query, subspace_dim: int) -> float:
-    """Squared residual of (query - mean) after projecting out the top
-    ``subspace_dim`` eigenvectors of the centered support covariance."""
-    s = _as_matrix(support)
-    q = _as_vector(query, "query")
-    if q.shape[0] != s.shape[1]:
-        raise DimensionMismatchError(s.shape[1], q.shape[0], "query vector")
-    if subspace_dim < 0:
-        raise ConfigurationError(f"subspace dimension must be >= 0, got {subspace_dim}")
-    mean = s.mean(axis=0)
-    centered = s - mean
-    cov = centered.T @ centered
-    values, vectors = np.linalg.eigh(cov)
-    values = values[::-1]
-    vectors = vectors[:, ::-1]
-    top = float(values[0]) if values.size else 0.0
-    rank = int(np.sum(values > 1e-10 * max(top, 1.0)))
-    if subspace_dim > rank:
-        raise ConfigurationError(
-            f"subspace dimension {subspace_dim} exceeds the centered support rank {rank}"
-        )
-    rel = q - mean
-    if subspace_dim > 0:
-        basis = vectors[:, :subspace_dim]
-        rel = rel - basis @ (basis.T @ rel)
-    return float(rel @ rel)
 
 
 def class_probabilities(dist_sq, zeta: float) -> np.ndarray:
@@ -229,35 +141,3 @@ def classify_episode(episode, kernel: KernelSpec, filter_spec: FilterSpec,
     loss = episode_loss(probs, episode.query_labels)
     return EpisodeResult(dists, probs, predicted, loss)
 
-
-def replicated_matrix_distance(support, query, kernel: KernelSpec,
-                               filter_spec: FilterSpec, lam: float) -> float:
-    """Distance computed through the full replicated-matrix form.
-
-    Spells out the n x n constant-column query/support block, the
-    constant query/query block, and the 1/n averaging matrix, centers
-    them by full matrix products, and filters through numpy's symmetric
-    eigensolver.  Valid for any kernel; the second independent reference
-    path for :func:`distance_sq`.
-    """
-    s = _as_matrix(support)
-    q = _as_vector(query, "query")
-    spec = resolve_kernel(kernel, s.shape[1])
-    n = s.shape[0]
-    k_ss = np.array([[kernel_eval(spec, s[i], s[j]) for j in range(n)] for i in range(n)])
-    kappa = np.array([kernel_eval(spec, s[i], q) for i in range(n)])
-    k_qs = np.tile(kappa[:, None], (1, n))
-    k_qq = np.full((n, n), kernel_eval(spec, q, q))
-    averager = np.full((n, n), 1.0 / n)
-    weights_vec = np.full(n, 1.0 / n)
-    kt_ss = k_ss - averager @ k_ss - k_ss @ averager + averager @ k_ss @ averager
-    kt_qs = k_qs - averager @ k_qs - k_ss + averager @ k_ss
-    kt_qq = k_qq + k_ss - k_qs - k_qs.T
-    cross = kt_qs @ weights_vec
-    q_norm = float(weights_vec @ kt_qq @ weights_vec)
-    values, vectors = np.linalg.eigh(0.5 * (kt_ss + kt_ss.T))
-    values = np.where(values < EIGENVALUE_CLAMP, 0.0, values)
-    h = np.array([filter_weight(filter_spec, float(v), lam) for v in values])
-    g = (vectors * h) @ vectors.T
-    a = g @ cross
-    return float(a @ kt_ss @ a + q_norm - 2.0 * (a @ cross))

@@ -11,14 +11,6 @@ import numpy as np
 from .errors import ConfigurationError, DataError
 
 
-@dataclass(frozen=True)
-class LabeledVector:
-    """One embedding vector with its class label."""
-
-    label: str
-    features: np.ndarray
-
-
 class Dataset:
     """Immutable collection of labeled embedding vectors sharing one dimension."""
 
@@ -69,9 +61,6 @@ class Dataset:
         if label not in self._class_indices:
             raise DataError(f"dataset has no class {label!r}")
         return self._class_indices[label]
-
-    def vector(self, index: int) -> LabeledVector:
-        return LabeledVector(self._labels[index], self._features[index])
 
 
 def load_csv(path) -> Dataset:

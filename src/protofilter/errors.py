@@ -8,25 +8,17 @@ with 2, data errors with 3, numerical errors with 4.
 class ProtofilterError(Exception):
     """Base class for all library errors."""
 
-    exit_code = 1
-
 
 class ConfigurationError(ProtofilterError):
     """A parameter or option lies outside its documented domain."""
-
-    exit_code = 2
 
 
 class DataError(ProtofilterError):
     """Input data violates a structural precondition."""
 
-    exit_code = 3
-
 
 class NumericalError(ProtofilterError):
     """A numerical routine failed or produced a corrupt value."""
-
-    exit_code = 4
 
 
 class DimensionMismatchError(DataError):

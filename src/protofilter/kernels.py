@@ -61,13 +61,6 @@ def _rbf_bandwidth(spec: KernelSpec) -> float:
     return float(spec.bandwidth_sq)
 
 
-def _as_vector(x, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] < 1:
-        raise DataError(f"{name} must be a nonempty 1-D real vector, got shape {v.shape}")
-    return v
-
-
 def _as_matrix(support) -> np.ndarray:
     try:
         s = np.asarray(support, dtype=np.float64)
@@ -78,18 +71,6 @@ def _as_matrix(support) -> np.ndarray:
             f"support must be a nonempty sequence of equal-length vectors, got shape {s.shape}"
         )
     return s
-
-
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Evaluate k(x, y) for one pair of embedding vectors."""
-    xv = _as_vector(x, "x")
-    yv = _as_vector(y, "y")
-    if xv.shape[0] != yv.shape[0]:
-        raise DimensionMismatchError(xv.shape[0], yv.shape[0], "kernel arguments")
-    if spec.kind is KernelKind.IDENTITY:
-        return float(xv @ yv)
-    diff = xv - yv
-    return float(np.exp(-(diff @ diff) / (2.0 * _rbf_bandwidth(spec))))
 
 
 def gram_support(spec: KernelSpec, support) -> np.ndarray:

@@ -204,7 +204,14 @@ def resolve_lambda(policy: LambdaPolicy, eigensystem: EigenSystem) -> float:
 
 
 def filter_matrix(eigensystem: EigenSystem, spec: FilterSpec, lam: float) -> np.ndarray:
-    """Assemble V diag(h(gamma_i, lambda)) V^T; symmetric by construction."""
+    """Assemble V diag(h(gamma_i, lambda)) V^T; symmetric by construction.
+
+    h is evaluated on every eigenvalue, zeros included.  An all-zero
+    spectrum (1-shot) under a relative policy resolves lambda = 0, where
+    Tikhonov raises NumericalError and truncated SVD ConfigurationError;
+    :func:`~protofilter.classify_episode` gives such a class the zero
+    filter matrix without calling this function.
+    """
     weights = np.array(
         [filter_weight(spec, float(g), lam) for g in eigensystem.values]
     )

@@ -15,6 +15,7 @@ from conftest import (
     rbf_for,
     rel_close,
 )
+from oracles import dsn_distance, explicit_feature_distance, protonet_distance, replicated_matrix_distance
 from protofilter import (
     AbsoluteLambda,
     EvalConfig,
@@ -29,13 +30,9 @@ from protofilter import (
     batch_loss,
     class_probabilities,
     compare_methods,
-    dsn_distance,
     episode_loss,
     evaluate,
-    explicit_feature_distance,
     finite_difference_gradient,
-    protonet_distance,
-    replicated_matrix_distance,
     symmetric_eig,
     synth_generate,
     train,

@@ -14,6 +14,7 @@ from conftest import (
     rbf_for,
     rel_close,
 )
+from oracles import dsn_distance, explicit_feature_distance, protonet_distance, replicated_matrix_distance
 from protofilter import (
     AbsoluteLambda,
     ConfigurationError,
@@ -32,14 +33,10 @@ from protofilter import (
     class_probabilities,
     classify_episode,
     distance_sq,
-    dsn_distance,
     episode_loss,
-    explicit_feature_distance,
     filter_matrix,
     gram_query,
     gram_support,
-    protonet_distance,
-    replicated_matrix_distance,
     resolve_lambda,
     shrinkage_coefficients,
     symmetric_eig,

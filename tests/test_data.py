@@ -312,12 +312,6 @@ class TestDataset:
         assert ds.classes == ("a", "b")
         np.testing.assert_array_equal(ds.class_indices("b"), [0, 2])
 
-    def test_vector_accessor(self):
-        ds = Dataset(np.array([[1.0, 2.0]]), ["x"])
-        item = ds.vector(0)
-        assert item.label == "x"
-        np.testing.assert_array_equal(item.features, [1.0, 2.0])
-
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
             Dataset(np.array([[np.nan]]), ["a"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import IDENTITY, rbf_for
+from oracles import kernel_eval
 from protofilter import (
     ConfigurationError,
     DataError,
@@ -13,7 +14,6 @@ from protofilter import (
     default_rbf_bandwidth,
     gram_query,
     gram_support,
-    kernel_eval,
     resolve_kernel,
 )
 
