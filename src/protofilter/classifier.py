@@ -1,9 +1,11 @@
 """Filtered relative-prototype distances, class probabilities, and episode
-classification."""
+classification under one filter or several that share each class's
+eigensystem."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -33,8 +35,8 @@ class EpisodeResult:
     loss: float
 
 
-def _with_context(exc: ProtofilterError, context: str) -> ProtofilterError:
-    exc.args = (f"{context}: {exc}",)
+def _in_class(exc: ProtofilterError, episode, c: int) -> ProtofilterError:
+    exc.args = (f"class {c} ({episode.class_labels[c]}): {exc}",)
     return exc
 
 
@@ -106,6 +108,71 @@ def episode_loss(probs, labels) -> float:
     return float(-np.mean(np.log(true_p)))
 
 
+def _scored(dists: np.ndarray, zeta: float, labels) -> EpisodeResult | ProtofilterError:
+    """One filter's probabilities, predictions and loss, or the error they raise."""
+    try:
+        probs = class_probabilities(dists, zeta)
+        return EpisodeResult(dists, probs, dists.argmin(axis=1), episode_loss(probs, labels))
+    except ProtofilterError as exc:
+        return exc
+
+
+def classify_filters(episode, kernel: KernelSpec, filter_specs: Sequence[FilterSpec],
+                     zeta: float = 1.0) -> list[EpisodeResult | ProtofilterError]:
+    """Classify every query of an episode once per filter.
+
+    Per class the Gram matrix, centering, eigendecomposition, query kernel
+    rows, cross block and query norms are computed once and shared by
+    every filter; the resolved shrinkage parameter, filter matrix,
+    coefficients, distances, probabilities and loss are computed per
+    filter.  A filter that fails gets its error in place of its result
+    and takes no further part, so each entry is exactly what
+    :func:`classify_episode` gives that filter alone: its result, or the
+    error it raises (with class context when a class raised it).
+    """
+    spec = resolve_kernel(kernel, episode.dim)
+    queries = episode.query_features
+    outcomes: list = [np.empty((queries.shape[0], episode.way)) for _ in filter_specs]
+    live = list(range(len(filter_specs)))  # filters with no error so far
+    for c in range(episode.way):
+        if not live:
+            break
+        support = episode.support[c]
+        try:
+            k_ss = gram_support(spec, support)
+            ktilde = center_support(k_ss)
+            eigensystem = symmetric_eig(ktilde)
+            filtered = []
+            for i in live:
+                try:
+                    lam = resolve_lambda(filter_specs[i].lambda_policy, eigensystem)
+                    # no spread (1-shot): zero cross vector, nothing to filter, and h
+                    # may be undefined (a relative policy resolves lambda = gamma = 0)
+                    filtered.append((i, filter_matrix(eigensystem, filter_specs[i], lam)
+                                     if eigensystem.max_value > 0.0 else np.zeros_like(ktilde)))
+                except ProtofilterError as exc:
+                    outcomes[i] = _in_class(exc, episode, c)
+            live = [i for i, _ in filtered]
+            if not live:
+                continue
+            kappa, k_qq = gram_query(spec, support, queries)
+            b = center_cross(k_ss, kappa)
+            q_norm = centered_query_norm(k_ss, kappa, k_qq)
+            for i, g in filtered:
+                try:
+                    outcomes[i][:, c] = distance_sq(shrinkage_coefficients(g, b), ktilde, b, q_norm)
+                except ProtofilterError as exc:
+                    outcomes[i] = _in_class(exc, episode, c)
+                    live.remove(i)
+        except ProtofilterError as exc:
+            shared = _in_class(exc, episode, c)
+            for i in live:
+                outcomes[i] = shared
+            live = []
+    return [_scored(out, zeta, episode.query_labels) if isinstance(out, np.ndarray) else out
+            for out in outcomes]
+
+
 def classify_episode(episode, kernel: KernelSpec, filter_spec: FilterSpec,
                      zeta: float = 1.0) -> EpisodeResult:
     """Classify every query of an episode against its support classes.
@@ -114,30 +181,10 @@ def classify_episode(episode, kernel: KernelSpec, filter_spec: FilterSpec,
     shrinkage parameter, and filter matrix are computed once, then the
     kernel rows, cross vectors, query norms, coefficients and distances of
     the whole query block.  Errors are re-raised with class context; a
-    block check names its offending row, which is the query index.
+    block check names its offending row, which is the query index.  This
+    is :func:`classify_filters` with one filter.
     """
-    spec = resolve_kernel(kernel, episode.dim)
-    queries = episode.query_features
-    dists = np.empty((queries.shape[0], episode.way))
-    for c in range(episode.way):
-        support = episode.support[c]
-        try:
-            k_ss = gram_support(spec, support)
-            ktilde = center_support(k_ss)
-            eigensystem = symmetric_eig(ktilde)
-            lam = resolve_lambda(filter_spec.lambda_policy, eigensystem)
-            # no spread (1-shot): zero cross vector, nothing to filter, and h
-            # may be undefined (a relative policy resolves lambda = gamma = 0)
-            g = (filter_matrix(eigensystem, filter_spec, lam) if eigensystem.max_value > 0.0
-                 else np.zeros_like(ktilde))
-            kappa, k_qq = gram_query(spec, support, queries)
-            b = center_cross(k_ss, kappa)
-            q_norm = centered_query_norm(k_ss, kappa, k_qq)
-            dists[:, c] = distance_sq(shrinkage_coefficients(g, b), ktilde, b, q_norm)
-        except ProtofilterError as exc:
-            raise _with_context(exc, f"class {c} ({episode.class_labels[c]})")
-    probs = class_probabilities(dists, zeta)
-    predicted = dists.argmin(axis=1)
-    loss = episode_loss(probs, episode.query_labels)
-    return EpisodeResult(dists, probs, predicted, loss)
-
+    (result,) = classify_filters(episode, kernel, [filter_spec], zeta)
+    if isinstance(result, ProtofilterError):
+        raise result
+    return result

@@ -3,24 +3,36 @@ method comparison, and shrinkage-parameter sweeps.
 
 Every episode derives its random streams from (master seed, episode
 index) by a counter-keyed split, so the episode sequence is a pure
-function of the configuration: methods compared under one seed see
-bitwise-identical episodes, and worker count cannot change any result.
+function of the configuration and worker count cannot change any result.
+:func:`evaluate`, :func:`compare_methods` and :func:`lambda_sweep` share
+one pass over that stream: each episode is built once and classified by
+every method, and methods with the same kernel share each class's Gram,
+centering, eigensystem and query kernel rows.  Comparisons are therefore
+paired by construction, and each report equals the one its method gets
+from :func:`evaluate` alone.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .classifier import classify_episode
+from .classifier import classify_filters
 from .data import Dataset, Episode, Jitter, apply_one_shot_policy, sample_episode
 from .errors import ConfigurationError, ProtofilterError
 from .kernels import KernelSpec, resolve_kernel
-from .spectral import AbsoluteLambda, FilterKind, FilterSpec, format_lambda_policy
+from .spectral import (
+    AbsoluteLambda,
+    FilterKind,
+    FilterSpec,
+    RelativeToMaxEigenvalue,
+    format_lambda_policy,
+)
 
 #: Default shrinkage-parameter grid for sweeps.
 DEFAULT_LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
@@ -135,47 +147,121 @@ def _echo(cfg: EvalConfig, kernel: KernelSpec) -> dict:
     }
 
 
+def _check_method(name: str, filter_spec: FilterSpec) -> None:
+    """Reject a method that fails on every episode before any is drawn."""
+    policy = filter_spec.lambda_policy
+    if (filter_spec.kind is FilterKind.TRUNCATED_SVD
+            and policy in (AbsoluteLambda(0.0), RelativeToMaxEigenvalue(0.0))):
+        raise ConfigurationError(
+            f"method {name!r}: truncated-SVD filtering requires a strictly positive "
+            f"shrinkage parameter, and {format_lambda_policy(policy)} always resolves to 0"
+        )
+
+
+def _evaluate_methods(dataset: Dataset, base_cfg: EvalConfig,
+                      methods: Sequence[tuple[str, KernelSpec, FilterSpec]]) -> list[EvalReport]:
+    """One report per (name, kernel, filter) method, from one walk over the
+    episode stream of ``base_cfg``.
+
+    Each episode is built once.  Methods sharing a resolved kernel share
+    its per-class Gram, centering, eigensystem and query kernel rows
+    (:func:`classify_filters`); only the filter, distances and loss are
+    per method, so every report equals the method's own one-method walk.
+    On failure the error of the first failing method in list order is
+    raised, as if the methods had been evaluated one after another: a
+    method stops at its first failure, and the walk goes on only while a
+    method listed before every failed one still runs.
+    """
+    configs, kernels = [], []
+    error: ProtofilterError | None = None
+    for name, kernel, filter_spec in methods:
+        try:
+            cfg = replace(base_cfg, kernel=kernel, filter=filter_spec)
+            resolved = resolve_kernel(kernel, dataset.dim)
+            _check_method(name, filter_spec)
+        except ProtofilterError as exc:
+            error = exc
+            break
+        configs.append(cfg)
+        kernels.append(resolved)
+    # only methods listed before the first failure found so far are run
+    width = len(kernels)
+    groups: dict[KernelSpec, list[int]] = {}
+    for k, kernel in enumerate(kernels):
+        groups.setdefault(kernel, []).append(k)
+
+    def run(index: int) -> list:
+        active = width  # read when the episode runs; see the walk below
+        try:
+            episode = build_episode(dataset, base_cfg, index)
+        except ProtofilterError as exc:
+            return [exc] * active
+        outcomes: list = [None] * active
+        for kernel, members in groups.items():
+            needed = [k for k in members if k < active]
+            results = classify_filters(episode, kernel, [configs[k].filter for k in needed],
+                                       base_cfg.zeta)
+            for k, result in zip(needed, results):
+                outcomes[k] = result if isinstance(result, ProtofilterError) else (
+                    float(np.mean(result.predicted == episode.query_labels)), result.loss)
+        return outcomes
+
+    metrics: list[list[tuple[float, float]]] = [[] for _ in range(width)]
+    indices = range(base_cfg.episode_count)
+    with (ThreadPoolExecutor(max_workers=base_cfg.workers) if base_cfg.workers > 1
+          else nullcontext()) as pool:
+        # ``map`` is lazy, so a serial walk runs each episode only for the
+        # methods still needed.  Pool threads may read a larger ``width``
+        # than the one an episode is consumed at, never a smaller one:
+        # it only shrinks, and an episode is consumed after it has run.
+        rows = pool.map(run, indices) if pool is not None else map(run, indices)
+        for index, row in zip(indices, rows):
+            for k, outcome in enumerate(row[:width]):
+                if isinstance(outcome, ProtofilterError):
+                    outcome.args = (f"episode {index}: {outcome}",)
+                    error, width = outcome, k
+                    break
+                metrics[k].append(outcome)
+            if width == 0:
+                break
+    if error is not None:
+        raise error
+    reports = []
+    for (name, _, _), cfg, kernel, rows in zip(methods, configs, kernels, metrics):
+        accuracies = tuple(a for a, _ in rows)
+        reports.append(EvalReport(
+            name=name,
+            accuracy_mean=float(np.mean(accuracies)),
+            ci95_halfwidth=_ci95(accuracies),
+            mean_loss=float(np.mean([loss for _, loss in rows])),
+            per_episode_accuracies=accuracies,
+            config_echo=_echo(cfg, kernel),
+        ))
+    return reports
+
+
 def evaluate(dataset: Dataset, cfg: EvalConfig, name: str = "eval") -> EvalReport:
     """Classify ``episode_count`` sampled episodes and aggregate accuracy,
     its 95% confidence half-width, and the mean loss.
 
-    Deterministic for a fixed master seed regardless of ``workers``:
-    episodes derive independent streams and results aggregate in episode
-    order.
+    The one-method case of the walk that also serves
+    :func:`compare_methods` and :func:`lambda_sweep`.  Deterministic for a
+    fixed master seed regardless of ``workers``: episodes derive
+    independent streams and results aggregate in episode order.  A
+    truncated-SVD filter whose policy can only resolve lambda = 0
+    (``absolute=0`` or ``relative=0``) is a ConfigurationError.
     """
-    kernel = resolve_kernel(cfg.kernel, dataset.dim)
-
-    def run(index: int) -> tuple[float, float]:
-        try:
-            episode = build_episode(dataset, cfg, index)
-            result = classify_episode(episode, kernel, cfg.filter, cfg.zeta)
-        except ProtofilterError as exc:
-            exc.args = (f"episode {index}: {exc}",)
-            raise
-        accuracy = float(np.mean(result.predicted == episode.query_labels))
-        return accuracy, result.loss
-
-    if cfg.workers == 1:
-        metrics = [run(i) for i in range(cfg.episode_count)]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            metrics = list(pool.map(run, range(cfg.episode_count)))
-    accuracies = tuple(a for a, _ in metrics)
-    losses = [loss for _, loss in metrics]
-    return EvalReport(
-        name=name,
-        accuracy_mean=float(np.mean(accuracies)),
-        ci95_halfwidth=_ci95(accuracies),
-        mean_loss=float(np.mean(losses)),
-        per_episode_accuracies=accuracies,
-        config_echo=_echo(cfg, kernel),
-    )
+    return _evaluate_methods(dataset, cfg, [(name, cfg.kernel, cfg.filter)])[0]
 
 
 def compare_methods(dataset: Dataset, base_cfg: EvalConfig,
                     methods: Sequence[tuple[str, KernelSpec, FilterSpec]]) -> list[EvalReport]:
-    """Evaluate several (name, kernel, filter) methods over the identical
-    episode stream, so accuracy differences are paired per episode."""
+    """Evaluate several (name, kernel, filter) methods in one pass over the
+    episode stream: every episode is built once and classified by every
+    method, so accuracy differences are paired per episode by
+    construction.  Methods with the same kernel share each class's
+    eigensystem.  Each report, and the error raised if a method fails,
+    equals what :func:`evaluate` gives for that method alone."""
     entries = list(methods)
     if not entries:
         raise ConfigurationError("method list is empty")
@@ -183,28 +269,25 @@ def compare_methods(dataset: Dataset, base_cfg: EvalConfig,
     duplicates = {n for n in names if names.count(n) > 1}
     if duplicates:
         raise ConfigurationError(f"duplicate method names: {sorted(duplicates)}")
-    return [
-        evaluate(dataset, replace(base_cfg, kernel=kernel, filter=filter_spec), name=name)
-        for name, kernel, filter_spec in entries
-    ]
+    return _evaluate_methods(dataset, base_cfg, entries)
 
 
 def lambda_sweep(dataset: Dataset, base_cfg: EvalConfig,
                  lambda_values: Sequence[float] = DEFAULT_LAMBDA_GRID) -> list[EvalReport]:
-    """Evaluate the base method at several absolute shrinkage parameters
-    over the identical episode stream."""
+    """Evaluate the base method at several absolute shrinkage parameters in
+    one pass over the episode stream: each episode's per-class
+    eigensystems are computed once and filtered at every value.  Each
+    report equals what :func:`evaluate` gives for that value alone."""
     values = [float(v) for v in lambda_values]
     if not values:
         raise ConfigurationError("lambda grid is empty")
     if any(v < 0 for v in values):
         raise ConfigurationError("lambda values must all be >= 0")
-    reports = []
-    for value in values:
-        swept = FilterSpec(base_cfg.filter.kind, AbsoluteLambda(value))
-        reports.append(
-            evaluate(dataset, replace(base_cfg, filter=swept), name=f"lambda={value:g}")
-        )
-    return reports
+    return _evaluate_methods(dataset, base_cfg, [
+        (f"lambda={value:g}", base_cfg.kernel,
+         FilterSpec(base_cfg.filter.kind, AbsoluteLambda(value)))
+        for value in values
+    ])
 
 
 def report_record(report: EvalReport) -> dict:

@@ -340,6 +340,57 @@ class TestClassifyEpisode:
                 assert np.all(shrunk.dist_sq <= zero_jittered.dist_sq + 1e-12)
 
 
+    @pytest.mark.parametrize("zeta", [1.0, 300.0])
+    @pytest.mark.parametrize("fault", [None, "query_norm", "distance"])
+    def test_shared_pass_matches_each_filter_alone(self, monkeypatch, zeta, fault):
+        rng = np.random.default_rng(59)
+        episode = _two_class_episode(rng, way=3, shot=3, queries=2, d=4)
+        if fault == "query_norm":  # a shared stage fails at class 0, after the filter stage
+            real_query = classifier.gram_query
+
+            def corrupted(spec, support, queries):
+                kappa, k_qq = real_query(spec, support, queries)
+                if support is episode.support[0]:
+                    k_qq = k_qq - 1e3
+                return kappa, k_qq
+
+            monkeypatch.setattr(classifier, "gram_query", corrupted)
+        if fault == "distance":  # only the zero filter fails, at class 0
+            real_distance = classifier.distance_sq
+
+            def failing(coefficients, ktilde_ss, cross, query_norm):
+                if not np.any(coefficients):
+                    raise NumericalError("zero coefficients")
+                return real_distance(coefficients, ktilde_ss, cross, query_norm)
+
+            monkeypatch.setattr(classifier, "distance_sq", failing)
+        filters = FILTER_GRID + (
+            FilterSpec(FilterKind.TIKHONOV, AbsoluteLambda(0.0)),  # fails at class 0
+            FilterSpec(FilterKind.TRUNCATED_SVD, AbsoluteLambda(0.0)),
+        )
+        outcomes = []
+        for spec in (IDENTITY, rbf_for(4)):
+            shared = classifier.classify_filters(episode, spec, filters, zeta)
+            assert len(shared) == len(filters)
+            for filter_spec, got in zip(filters, shared):
+                try:
+                    want = classify_episode(episode, spec, filter_spec, zeta)
+                except ProtofilterError as exc:
+                    assert type(got) is type(exc) and str(got) == str(exc)
+                    outcomes.append(str(exc))
+                    continue
+                np.testing.assert_array_equal(got.dist_sq, want.dist_sq)
+                np.testing.assert_array_equal(got.probs, want.probs)
+                np.testing.assert_array_equal(got.predicted, want.predicted)
+                assert got.loss == want.loss
+                outcomes.append("ok")
+        assert any(o.startswith("class 0 (k0)") for o in outcomes)
+        # with a shared fault the two filter-stage errors keep their own message
+        assert ("ok" in outcomes) != (fault == "query_norm")
+        assert len(set(outcomes)) >= 3
+        if fault == "distance":
+            assert "class 0 (k0): zero coefficients" in outcomes
+
 class TestQueryBlocks:
     """Every per-query function takes an (m, ...) block; each row of the
     result is what a 1-D call on that row returns."""

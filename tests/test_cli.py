@@ -172,6 +172,33 @@ class TestExitCodes:
         assert code == 4
         assert "numerical error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shot", ["1", "2"])
+    def test_tsvd_lambda_zero_is_config_error(self, synth_json, shot, capsys):
+        code = run(["eval", "--synth", synth_json, "--way", "3", "--shot", shot,
+                    "--query", "2", "--episodes", "2", "--filter", "tsvd", "--lambda", "0"])
+        assert code == 2
+        assert "method 'eval': truncated-SVD" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, code, message", [
+        # the first failing method in list order decides the exit code
+        (["compare", "--method", "proto:identity:zero:none",
+          "--method", "tik0:identity:tikhonov:none",
+          "--method", "tsvd0:identity:tsvd:none"], 4, "episode 0: class 0"),
+        (["compare", "--method", "proto:identity:zero:none",
+          "--method", "tsvd0:identity:tsvd:relative=0",
+          "--method", "tik0:identity:tikhonov:none"], 2, "method 'tsvd0'"),
+        (["compare", "--way", "5", "--method", "proto:identity:zero:none",
+          "--method", "tsvd0:identity:tsvd:none"], 3, "episode 0: dataset has 4 classes"),
+        (["sweep", "--filter", "tikhonov", "--lambdas", "1,0"], 4, "episode 0: class 0"),
+        (["sweep", "--filter", "tsvd", "--lambdas", "0.5,0"], 2, "method 'lambda=0'"),
+    ])
+    def test_failing_method_lists(self, synth_json, command, code, message, capsys):
+        shape = ["--synth", synth_json, "--shot", "2", "--query", "2", "--episodes", "2"]
+        if "--way" not in command:
+            shape += ["--way", "3"]
+        assert run(command + shape) == code
+        assert message in capsys.readouterr().err
+
     def test_missing_policy_is_config_error(self, synth_json, capsys):
         code = run(["eval", "--synth", synth_json, "--episodes", "2",
                     "--filter", "tikhonov"])

@@ -12,8 +12,11 @@ from protofilter import (
     EvalConfig,
     FilterKind,
     FilterSpec,
+    Jitter,
     KernelKind,
     KernelSpec,
+    NumericalError,
+    ProtofilterError,
     RelativeToMaxEigenvalue,
     SYNTH_PRESETS,
     SynthConfig,
@@ -25,6 +28,7 @@ from protofilter import (
     report_record,
     synth_generate,
 )
+from protofilter import classifier, harness
 
 ZERO = FilterSpec(FilterKind.ZERO, AbsoluteLambda(0.0))
 TIK_REL = FilterSpec(FilterKind.TIKHONOV, RelativeToMaxEigenvalue(0.1))
@@ -181,6 +185,126 @@ class TestLambdaSweep:
             lambda_sweep(small_dataset(), small_cfg(), [])
         with pytest.raises(ConfigurationError):
             lambda_sweep(small_dataset(), small_cfg(), [-1.0])
+
+
+# identity and RBF kernels; zero, Tikhonov and tsvd filters; both policies
+MIXED_METHODS = (
+    ("zero", KernelSpec(), ZERO),
+    ("tik_rel", KernelSpec(), TIK_REL),
+    ("rbf_tik_abs", KernelSpec(KernelKind.RBF), FilterSpec(FilterKind.TIKHONOV, AbsoluteLambda(1.0))),
+    ("tsvd_abs", KernelSpec(), FilterSpec(FilterKind.TRUNCATED_SVD, AbsoluteLambda(0.5))),
+    ("rbf_tsvd_rel", KernelSpec(KernelKind.RBF, 4.0),
+     FilterSpec(FilterKind.TRUNCATED_SVD, RelativeToMaxEigenvalue(0.2))),
+    ("rbf_zero", KernelSpec(KernelKind.RBF), ZERO),
+)
+SHOTS = [dict(shot=3), dict(shot=1), dict(shot=1, one_shot=Jitter(0.1))]
+
+
+def per_method_loop(ds, base, methods):
+    """Each method evaluated on its own, stopping at the first that raises."""
+    return [evaluate(ds, dataclasses.replace(base, kernel=kernel, filter=filter_spec), name=name)
+            for name, kernel, filter_spec in methods]
+
+
+def raised(call):
+    try:
+        call()
+    except ProtofilterError as exc:
+        return type(exc), str(exc)
+    raise AssertionError("expected a ProtofilterError")
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("shape", SHOTS)
+    def test_compare_equals_per_method_evaluate(self, shape, workers):
+        ds = small_dataset()
+        base = small_cfg(episode_count=12, workers=workers, zeta=0.7, **shape)
+        reports = compare_methods(ds, base, MIXED_METHODS)
+        assert reports == per_method_loop(ds, base, MIXED_METHODS)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("shape", SHOTS)
+    @pytest.mark.parametrize("kind", list(FilterKind))
+    def test_sweep_equals_per_value_evaluate(self, kind, shape, workers):
+        ds = small_dataset()
+        values = [0.01, 1.0, 100.0]
+        base = small_cfg(episode_count=12, workers=workers, kernel=KernelSpec(KernelKind.RBF),
+                         filter=FilterSpec(kind, RelativeToMaxEigenvalue(0.1)), **shape)
+        methods = [(f"lambda={v:g}", base.kernel, FilterSpec(kind, AbsoluteLambda(v)))
+                   for v in values]
+        assert lambda_sweep(ds, base, values) == per_method_loop(ds, base, methods)
+
+    def test_each_episode_and_eigensystem_computed_once(self, monkeypatch):
+        counts = {"sample": 0, "eig": 0}
+
+        def counted(module, name, key):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(harness, "sample_episode", "sample")
+        counted(classifier, "symmetric_eig", "eig")
+        ds = small_dataset()
+        cfg = small_cfg(episode_count=7, filter=FilterSpec(FilterKind.TIKHONOV, AbsoluteLambda(1.0)))
+        lambda_sweep(ds, cfg, [0.01, 0.1, 1.0, 10.0, 100.0])
+        assert counts == {"sample": 7, "eig": 7 * 3}
+        counts.update(sample=0, eig=0)
+        # the default RBF bandwidth resolves to the data dimension, 4: two kernels
+        compare_methods(ds, cfg, MIXED_METHODS)
+        assert counts == {"sample": 7, "eig": 7 * 3 * 2}
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_error_is_the_first_failing_method_in_list_order(self, workers):
+        ds = small_dataset()
+        base = small_cfg(episode_count=40, workers=workers)
+        tik0 = ("tik0", KernelSpec(), FilterSpec(FilterKind.TIKHONOV, AbsoluteLambda(0.0)))
+        rbf_tik0 = ("rbf_tik0", KernelSpec(KernelKind.RBF), tik0[2])
+        methods = [MIXED_METHODS[0], tik0, MIXED_METHODS[1], rbf_tik0]
+        want = raised(lambda: per_method_loop(ds, base, methods))
+        assert want[0] is NumericalError
+        assert want[1].startswith("episode 0: class 0 (")
+        assert raised(lambda: compare_methods(ds, base, methods)) == want
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_earlier_method_failing_later_wins(self, workers):
+        # a large zeta underflows the true-class probability of a confidently
+        # misclassified query, which depends on the method's distances
+        ds = small_dataset()
+        base = small_cfg(episode_count=40, zeta=100.0, workers=workers)
+        late = ("tik_rel", KernelSpec(), TIK_REL)
+        early = ("tik_abs", KernelSpec(), FilterSpec(FilterKind.TIKHONOV, AbsoluteLambda(1.0)))
+        methods = [MIXED_METHODS[2], late, early]
+        want = raised(lambda: per_method_loop(ds, base, methods))
+        sooner = raised(lambda: per_method_loop(ds, base, [early]))
+        assert want[0] is NumericalError and sooner[0] is NumericalError
+        # "episode <i>: ..." -- the later-listed method fails on an earlier episode
+        assert int(sooner[1].split(":")[0][8:]) < int(want[1].split(":")[0][8:])
+        assert raised(lambda: compare_methods(ds, base, methods)) == want
+        sweep_base = dataclasses.replace(base, filter=early[2])
+        sweep_methods = [(f"lambda={v:g}", KernelSpec(), FilterSpec(FilterKind.TIKHONOV,
+                                                                   AbsoluteLambda(v)))
+                         for v in (1e6, 1.0)]
+        assert (raised(lambda: lambda_sweep(ds, sweep_base, [1e6, 1.0]))
+                == raised(lambda: per_method_loop(ds, sweep_base, sweep_methods)))
+
+    @pytest.mark.parametrize("policy", [AbsoluteLambda(0.0), RelativeToMaxEigenvalue(0.0)])
+    @pytest.mark.parametrize("shot", [1, 3])
+    def test_tsvd_that_can_only_resolve_lambda_zero_is_rejected(self, policy, shot):
+        # way 9 of 8 classes: drawing an episode would be a DataError
+        cfg = small_cfg(way=9, shot=shot, filter=FilterSpec(FilterKind.TRUNCATED_SVD, policy))
+        with pytest.raises(ConfigurationError, match="method 'eval': truncated-SVD"):
+            evaluate(small_dataset(), cfg)
+        with pytest.raises(ConfigurationError, match="method 'lambda=0'"):
+            lambda_sweep(small_dataset(), cfg, [0.0])
+        # a method listed before it that fails on an episode still comes first
+        methods = [("zero", KernelSpec(), ZERO), ("tsvd0", KernelSpec(), cfg.filter)]
+        with pytest.raises(DataError, match="episode 0"):
+            compare_methods(small_dataset(), cfg, methods)
 
 
 class TestReportRecord:
