@@ -15,7 +15,6 @@ from .classifier import (
     classify_episode,
     distance_sq,
     episode_loss,
-    shrinkage_coefficients,
 )
 from .data import (
     Dataset,
@@ -64,11 +63,10 @@ from .spectral import (
     FilterKind,
     FilterSpec,
     RelativeToMaxEigenvalue,
-    filter_matrix,
-    filter_weight,
     format_lambda_policy,
     parse_lambda_policy,
     resolve_lambda,
+    shrinkage_weights,
     symmetric_eig,
 )
 from .training import (
@@ -127,8 +125,6 @@ __all__ = [
     "episode_rngs",
     "episodes_loss",
     "evaluate",
-    "filter_matrix",
-    "filter_weight",
     "finite_difference_gradient",
     "format_lambda_policy",
     "format_table",
@@ -144,7 +140,7 @@ __all__ = [
     "sample_training_batch",
     "save_csv",
     "save_embedding",
-    "shrinkage_coefficients",
+    "shrinkage_weights",
     "symmetric_eig",
     "synth_generate",
     "train",

@@ -10,15 +10,9 @@ from typing import Sequence
 import numpy as np
 
 from .centering import _clamp_negative, center_cross, center_support, centered_query_norm
-from .errors import (
-    ConfigurationError,
-    DataError,
-    DimensionMismatchError,
-    NumericalError,
-    ProtofilterError,
-)
+from .errors import ConfigurationError, DataError, NumericalError, ProtofilterError
 from .kernels import KernelSpec, gram_query, gram_support, resolve_kernel
-from .spectral import FilterSpec, filter_matrix, resolve_lambda, symmetric_eig
+from .spectral import FilterSpec, resolve_lambda, shrinkage_weights, symmetric_eig
 
 #: Squared distances below -DISTANCE_TOL are an error; within it they clamp to 0.
 DISTANCE_TOL = 1e-9
@@ -40,39 +34,22 @@ def _in_class(exc: ProtofilterError, episode, c: int) -> ProtofilterError:
     return exc
 
 
-def shrinkage_coefficients(filter_mat, cross) -> np.ndarray:
-    """Expansion coefficients of the removed component over the centered
-    support features: the filter matrix applied to the cross vector (B G
-    for a block of cross rows, as G is symmetric)."""
-    g = np.asarray(filter_mat, dtype=np.float64)
-    b = np.asarray(cross, dtype=np.float64)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise DataError(f"filter matrix must be square, got shape {g.shape}")
-    if b.ndim not in (1, 2) or b.shape[-1] != g.shape[0]:
-        raise DimensionMismatchError(g.shape[0], b.shape[-1] if b.ndim else -1, "cross vector")
-    return b @ g
-
-
-def distance_sq(coefficients, ktilde_ss, cross, query_norm) -> float | np.ndarray:
+def distance_sq(coords_sq, weights, query_norm) -> float | np.ndarray:
     """Squared norm of the filtered relative prototype.
 
-    a^T Kt a + q_norm - 2 a^T b, per row of a block.  Values in
-    (-DISTANCE_TOL, 0) clamp to zero; more negative ones raise.
+    q_norm - sum_i c_i^2 w_i, per row of a block, from the squared
+    eigen-coordinates c^2 of the centered cross vector (c = b V) and the
+    shrinkage weights w (:func:`~protofilter.spectral.shrinkage_weights`).
+    Values in (-DISTANCE_TOL, 0) clamp to zero; more negative ones raise.
     """
-    a = np.asarray(coefficients, dtype=np.float64)
-    k = np.asarray(ktilde_ss, dtype=np.float64)
-    b = np.asarray(cross, dtype=np.float64)
+    c2 = np.asarray(coords_sq, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
     qn = np.asarray(query_norm, dtype=np.float64)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise DataError(f"centered Gram must be square, got shape {k.shape}")
-    if a.ndim not in (1, 2) or a.shape[-1] != k.shape[0] or b.shape != a.shape:
-        raise DataError(
-            f"coefficients {a.shape} and cross vector {b.shape} must both have length {k.shape[0]}"
-        )
-    if qn.shape != a.shape[:-1]:
-        raise DataError(f"query norm shape {qn.shape} does not match {a.shape[:-1]}")
-    value = np.einsum("...i,...i->...", a @ k, a) + qn - 2.0 * np.einsum("...i,...i->...", a, b)
-    return _clamp_negative(value, DISTANCE_TOL, "squared distance")
+    if w.ndim != 1 or c2.ndim not in (1, 2) or c2.shape[-1] != w.shape[0]:
+        raise DataError(f"coordinates {c2.shape} do not match 1-D weights {w.shape}")
+    if qn.shape != c2.shape[:-1]:
+        raise DataError(f"query norm shape {qn.shape} does not match {c2.shape[:-1]}")
+    return _clamp_negative(qn - c2 @ w, DISTANCE_TOL, "squared distance")
 
 
 def class_probabilities(dist_sq, zeta: float) -> np.ndarray:
@@ -122,11 +99,11 @@ def classify_filters(episode, kernel: KernelSpec, filter_specs: Sequence[FilterS
     """Classify every query of an episode once per filter.
 
     Per class the Gram matrix, centering, eigendecomposition, query kernel
-    rows, cross block and query norms are computed once and shared by
-    every filter; the resolved shrinkage parameter, filter matrix,
-    coefficients, distances, probabilities and loss are computed per
-    filter.  A filter that fails gets its error in place of its result
-    and takes no further part, so each entry is exactly what
+    rows, squared eigen-coordinates of the cross block and query norms are
+    computed once and shared by every filter; the resolved shrinkage
+    parameter, shrinkage weights, distances, probabilities and loss are
+    computed per filter.  A filter that fails gets its error in place of
+    its result and takes no further part, so each entry is exactly what
     :func:`classify_episode` gives that filter alone: its result, or the
     error it raises (with class context when a class raised it).
     """
@@ -140,27 +117,25 @@ def classify_filters(episode, kernel: KernelSpec, filter_specs: Sequence[FilterS
         support = episode.support[c]
         try:
             k_ss = gram_support(spec, support)
-            ktilde = center_support(k_ss)
-            eigensystem = symmetric_eig(ktilde)
-            filtered = []
+            eigensystem = symmetric_eig(center_support(k_ss))
+            weighted = []
             for i in live:
                 try:
                     lam = resolve_lambda(filter_specs[i].lambda_policy, eigensystem)
-                    # no spread (1-shot): zero cross vector, nothing to filter, and h
-                    # may be undefined (a relative policy resolves lambda = gamma = 0)
-                    filtered.append((i, filter_matrix(eigensystem, filter_specs[i], lam)
-                                     if eigensystem.max_value > 0.0 else np.zeros_like(ktilde)))
+                    weighted.append((i, shrinkage_weights(eigensystem, filter_specs[i], lam)))
                 except ProtofilterError as exc:
                     outcomes[i] = _in_class(exc, episode, c)
-            live = [i for i, _ in filtered]
+            live = [i for i, _ in weighted]
             if not live:
                 continue
             kappa, k_qq = gram_query(spec, support, queries)
-            b = center_cross(k_ss, kappa)
+            coords_sq = np.square(center_cross(k_ss, kappa) @ eigensystem.vectors)
             q_norm = centered_query_norm(k_ss, kappa, k_qq)
-            for i, g in filtered:
+            # one matvec per filter: a result never depends on which
+            # other filters share the pass
+            for i, w in weighted:
                 try:
-                    outcomes[i][:, c] = distance_sq(shrinkage_coefficients(g, b), ktilde, b, q_norm)
+                    outcomes[i][:, c] = distance_sq(coords_sq, w, q_norm)
                 except ProtofilterError as exc:
                     outcomes[i] = _in_class(exc, episode, c)
                     live.remove(i)
@@ -178,11 +153,11 @@ def classify_episode(episode, kernel: KernelSpec, filter_spec: FilterSpec,
     """Classify every query of an episode against its support classes.
 
     Per class the Gram matrix, centering, eigendecomposition, resolved
-    shrinkage parameter, and filter matrix are computed once, then the
-    kernel rows, cross vectors, query norms, coefficients and distances of
-    the whole query block.  Errors are re-raised with class context; a
-    block check names its offending row, which is the query index.  This
-    is :func:`classify_filters` with one filter.
+    shrinkage parameter, and shrinkage weights are computed once, then the
+    kernel rows, eigen-coordinates of the cross vectors, query norms and
+    distances of the whole query block.  Errors are re-raised with class
+    context; a block check names its offending row, which is the query
+    index.  This is :func:`classify_filters` with one filter.
     """
     (result,) = classify_filters(episode, kernel, [filter_spec], zeta)
     if isinstance(result, ProtofilterError):

@@ -30,7 +30,7 @@ from .spectral import (
     AbsoluteLambda,
     FilterKind,
     FilterSpec,
-    RelativeToMaxEigenvalue,
+    _check_method,
     format_lambda_policy,
 )
 
@@ -145,17 +145,6 @@ def _echo(cfg: EvalConfig, kernel: KernelSpec) -> dict:
         "seed": cfg.master_seed,
         "workers": cfg.workers,
     }
-
-
-def _check_method(name: str, filter_spec: FilterSpec) -> None:
-    """Reject a method that fails on every episode before any is drawn."""
-    policy = filter_spec.lambda_policy
-    if (filter_spec.kind is FilterKind.TRUNCATED_SVD
-            and policy in (AbsoluteLambda(0.0), RelativeToMaxEigenvalue(0.0))):
-        raise ConfigurationError(
-            f"method {name!r}: truncated-SVD filtering requires a strictly positive "
-            f"shrinkage parameter, and {format_lambda_policy(policy)} always resolves to 0"
-        )
 
 
 def _evaluate_methods(dataset: Dataset, base_cfg: EvalConfig,

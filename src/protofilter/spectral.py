@@ -1,5 +1,15 @@
 """Symmetric eigendecomposition and the spectral filter family.
 
+With a class's centered support Gram K = V diag(gamma) V^T and a query
+block's centered cross rows b, the filtered squared distance is
+
+    d = q_norm - sum_i c_i^2 w_i,    c = b V,    w_i = h_i (2 - gamma_i h_i),
+
+where h_i = h(gamma_i, lambda) is the filter function: the relative
+prototype loses the fraction h_i gamma_i of its i-th eigencomponent.  The
+cross rows have no component along a zero eigenvalue, which gets w_i = 0.
+:func:`shrinkage_weights` gives w for a whole spectrum at once.
+
 The eigensolver is a cyclic Jacobi iteration.  Inputs are shot-count
 sized (rarely beyond 20 x 20), so robustness and determinism matter more
 than asymptotic speed: the sweep order is fixed, eigenvalues are sorted
@@ -160,38 +170,8 @@ def symmetric_eig(matrix) -> EigenSystem:
     order = np.argsort(-values, kind="stable")
     values = _clamp_spectrum(values[order])
     vecs = vecs[:, order]
-    for j in range(n):
-        column = vecs[:, j]
-        if column[int(np.argmax(np.abs(column)))] < 0.0:
-            vecs[:, j] = -column
-    return EigenSystem(values, vecs)
-
-
-def filter_weight(spec: FilterSpec, gamma: float, lam: float) -> float:
-    """Filter weight h(gamma, lambda) for one eigenvalue.
-
-    Zero: 0.  Tikhonov: 1 / (gamma + lambda).  Truncated SVD: 1 / gamma
-    when gamma >= lambda, else 0.
-    """
-    if gamma < 0:
-        raise NumericalError(f"eigenvalue must be nonnegative, got {gamma}")
-    if lam < 0:
-        raise ConfigurationError(f"shrinkage parameter must be nonnegative, got {lam}")
-    if spec.kind is FilterKind.ZERO:
-        return 0.0
-    if spec.kind is FilterKind.TIKHONOV:
-        denom = gamma + lam
-        if denom == 0.0:
-            raise NumericalError(
-                "Tikhonov filter weight undefined: eigenvalue and shrinkage "
-                "parameter are both zero"
-            )
-        return 1.0 / denom
-    if lam <= 0.0:
-        raise ConfigurationError(
-            "truncated-SVD filtering requires a strictly positive shrinkage parameter"
-        )
-    return 1.0 / gamma if gamma >= lam else 0.0
+    largest = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
+    return EigenSystem(values, np.where(largest < 0.0, -vecs, vecs))
 
 
 def resolve_lambda(policy: LambdaPolicy, eigensystem: EigenSystem) -> float:
@@ -203,21 +183,49 @@ def resolve_lambda(policy: LambdaPolicy, eigensystem: EigenSystem) -> float:
     raise ConfigurationError(f"unknown shrinkage policy: {policy!r}")
 
 
-def filter_matrix(eigensystem: EigenSystem, spec: FilterSpec, lam: float) -> np.ndarray:
-    """Assemble V diag(h(gamma_i, lambda)) V^T; symmetric by construction.
+def shrinkage_weights(eigensystem: EigenSystem, spec: FilterSpec, lam: float) -> np.ndarray:
+    """Shrinkage weight w_i = h_i (2 - gamma_i h_i) of each eigencomponent.
 
-    h is evaluated on every eigenvalue, zeros included.  An all-zero
-    spectrum (1-shot) under a relative policy resolves lambda = 0, where
-    Tikhonov raises NumericalError and truncated SVD ConfigurationError;
-    :func:`~protofilter.classify_episode` gives such a class the zero
-    filter matrix without calling this function.
+    h is evaluated on the whole spectrum at once: zero filter 0, Tikhonov
+    1 / (gamma + lambda), truncated SVD 1 / gamma where gamma >= lambda
+    and 0 elsewhere.  A zero eigenvalue gets weight 0: the centered cross
+    vectors have no component along the null space, so there is nothing
+    to filter, and a weight there would only scale the eigensolver's
+    error in that component (by 2 / lambda under Tikhonov).  An all-zero
+    spectrum (1-shot) returns zeros without evaluating h at all, which a
+    relative policy (lambda = gamma = 0) would leave undefined.
     """
-    weights = np.array(
-        [filter_weight(spec, float(g), lam) for g in eigensystem.values]
-    )
-    v = eigensystem.vectors
-    g = (v * weights) @ v.T
-    return 0.5 * (g + g.T)
+    if lam < 0:
+        raise ConfigurationError(f"shrinkage parameter must be nonnegative, got {lam}")
+    gamma = eigensystem.values
+    if spec.kind is FilterKind.ZERO or eigensystem.max_value == 0.0:
+        return np.zeros_like(gamma)
+    if spec.kind is FilterKind.TIKHONOV:
+        if not (gamma + lam).all():
+            raise NumericalError(
+                "Tikhonov filter weight undefined: eigenvalue and shrinkage "
+                "parameter are both zero"
+            )
+        denom, kept = gamma + lam, gamma > 0.0
+    else:
+        if lam <= 0.0:
+            raise ConfigurationError(
+                "truncated-SVD filtering requires a strictly positive shrinkage parameter"
+            )
+        denom, kept = gamma, gamma >= lam
+    h = np.divide(1.0, denom, out=np.zeros_like(gamma), where=kept)
+    return h * (2.0 - gamma * h)
+
+
+def _check_method(name: str, filter_spec: FilterSpec) -> None:
+    """Reject a method that fails on every episode before any is drawn."""
+    policy = filter_spec.lambda_policy
+    if (filter_spec.kind is FilterKind.TRUNCATED_SVD
+            and policy in (AbsoluteLambda(0.0), RelativeToMaxEigenvalue(0.0))):
+        raise ConfigurationError(
+            f"method {name!r}: truncated-SVD filtering requires a strictly positive "
+            f"shrinkage parameter, and {format_lambda_policy(policy)} always resolves to 0"
+        )
 
 
 def format_lambda_policy(policy: LambdaPolicy) -> str:

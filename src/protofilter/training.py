@@ -17,7 +17,7 @@ from .classifier import classify_episode
 from .data import Dataset, Episode, Jitter, apply_one_shot_policy, sample_episode
 from .errors import ConfigurationError, NumericalError
 from .kernels import KernelSpec, resolve_kernel
-from .spectral import AbsoluteLambda, FilterKind, FilterSpec
+from .spectral import AbsoluteLambda, FilterKind, FilterSpec, _check_method
 
 _TRAIN_DOMAIN = 1
 _MAX_PARAMS = 512
@@ -194,10 +194,13 @@ def train(dataset: Dataset, cfg: TrainConfig, init: LinearEmbedding,
     with step ``fd_step``, and apply a descent update.  An update that
     raises the frozen-batch loss (or produces a non-finite value or a
     nonpositive zeta) halves the learning rate for that step, up to 10
-    times, before erroring.  Returns the history of pre-step losses.
+    times, before erroring.  Returns the history of pre-step losses.  A
+    truncated-SVD filter whose policy can only resolve lambda = 0 is a
+    ConfigurationError, raised before any batch is drawn.
     """
     if not zeta0 > 0:
         raise ConfigurationError(f"initial zeta must be positive, got {zeta0}")
+    _check_method("train", cfg.filter)
     n_params = init.d_out * init.d_in + 1
     if n_params > _MAX_PARAMS:
         raise ConfigurationError(
@@ -221,10 +224,7 @@ def train(dataset: Dataset, cfg: TrainConfig, init: LinearEmbedding,
             return episodes_loss(episodes, LinearEmbedding(w), z, cfg)
 
         x0 = _pack(weights, zeta, cfg)
-        try:
-            loss0 = objective(x0)
-        except ConfigurationError as exc:
-            raise NumericalError(f"step {step}: {exc}") from exc
+        loss0 = objective(x0)
         if not np.isfinite(loss0):
             raise NumericalError(f"step {step}: non-finite frozen-batch loss {loss0}")
         history.append(loss0)

@@ -9,11 +9,10 @@ from protofilter import (
     center_support,
     centered_query_norm,
     distance_sq,
-    filter_matrix,
     gram_query,
     gram_support,
     resolve_lambda,
-    shrinkage_coefficients,
+    shrinkage_weights,
     symmetric_eig,
 )
 
@@ -52,8 +51,8 @@ def kernel_distance(spec, support, query, filter_spec, lam=None):
     eigensystem = symmetric_eig(ktilde)
     if lam is None:
         lam = resolve_lambda(filter_spec.lambda_policy, eigensystem)
-    g = filter_matrix(eigensystem, filter_spec, lam)
-    return distance_sq(shrinkage_coefficients(g, cross), ktilde, cross, q_norm)
+    weights = shrinkage_weights(eigensystem, filter_spec, lam)
+    return distance_sq(np.square(cross @ eigensystem.vectors), weights, q_norm)
 
 
 def rel_close(a, b, scale, rel=1e-6, zero_floor=1e-8):

@@ -9,6 +9,9 @@ distance, used to cross-check the Gram-domain path of the library.
   SVD must reproduce at every admissible rank;
 - :func:`replicated_matrix_distance` spells out the full n x n blocks and
   works for any kernel, built on the scalar :func:`kernel_eval`.
+
+Both filtered references apply the scalar filter function
+:func:`filter_weight` one eigenvalue at a time.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ from protofilter import (
     ConfigurationError,
     DataError,
     DimensionMismatchError,
+    FilterKind,
     FilterSpec,
     KernelKind,
     KernelSpec,
-    filter_weight,
+    NumericalError,
     resolve_kernel,
 )
 from protofilter.kernels import _as_matrix, _rbf_bandwidth
@@ -46,6 +50,33 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
         return float(xv @ yv)
     diff = xv - yv
     return float(np.exp(-(diff @ diff) / (2.0 * _rbf_bandwidth(spec))))
+
+
+def filter_weight(spec: FilterSpec, gamma: float, lam: float) -> float:
+    """Filter weight h(gamma, lambda) for one eigenvalue.
+
+    Zero: 0.  Tikhonov: 1 / (gamma + lambda).  Truncated SVD: 1 / gamma
+    when gamma >= lambda, else 0.
+    """
+    if gamma < 0:
+        raise NumericalError(f"eigenvalue must be nonnegative, got {gamma}")
+    if lam < 0:
+        raise ConfigurationError(f"shrinkage parameter must be nonnegative, got {lam}")
+    if spec.kind is FilterKind.ZERO:
+        return 0.0
+    if spec.kind is FilterKind.TIKHONOV:
+        denom = gamma + lam
+        if denom == 0.0:
+            raise NumericalError(
+                "Tikhonov filter weight undefined: eigenvalue and shrinkage "
+                "parameter are both zero"
+            )
+        return 1.0 / denom
+    if lam <= 0.0:
+        raise ConfigurationError(
+            "truncated-SVD filtering requires a strictly positive shrinkage parameter"
+        )
+    return 1.0 / gamma if gamma >= lam else 0.0
 
 
 def explicit_feature_distance(support, query, filter_spec: FilterSpec, lam: float) -> float:

@@ -4,7 +4,8 @@ import types
 
 import protofilter
 
-#: Test-only references and unused helpers that no longer ship in the package.
+#: Test-only references, unused helpers and replaced layers that no longer
+#: ship in the package.
 REMOVED = (
     "CenteredGram",
     "centered_gram",
@@ -14,6 +15,9 @@ REMOVED = (
     "protonet_distance",
     "dsn_distance",
     "replicated_matrix_distance",
+    "filter_weight",
+    "filter_matrix",
+    "shrinkage_coefficients",
 )
 
 

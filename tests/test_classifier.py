@@ -34,11 +34,10 @@ from protofilter import (
     classify_episode,
     distance_sq,
     episode_loss,
-    filter_matrix,
     gram_query,
     gram_support,
     resolve_lambda,
-    shrinkage_coefficients,
+    shrinkage_weights,
     symmetric_eig,
 )
 from protofilter import classifier
@@ -55,8 +54,12 @@ FILTER_GRID = tuple(
 )
 
 
-def _fixture_pieces():
-    return centered_pieces(IDENTITY, FIXTURE_SUPPORT, FIXTURE_QUERY)
+def _fixture_coords_sq():
+    """Squared eigen-coordinates of the fixture's cross vector, its
+    eigensystem and its query norm."""
+    _, _, _, ktilde, cross, q_norm = centered_pieces(IDENTITY, FIXTURE_SUPPORT, FIXTURE_QUERY)
+    system = symmetric_eig(ktilde)
+    return np.square(cross @ system.vectors), system, q_norm
 
 
 def _two_class_episode(rng, way=2, shot=3, queries=2, d=4):
@@ -77,38 +80,23 @@ def _two_class_episode(rng, way=2, shot=3, queries=2, d=4):
     )
 
 
-class TestShrinkageCoefficients:
-    def test_zero_filter_matrix_gives_zero(self):
-        np.testing.assert_array_equal(
-            shrinkage_coefficients(np.zeros((3, 3)), [1.0, -2.0, 0.5]), np.zeros(3)
-        )
-
-    def test_fixture_value(self):
-        _, _, _, ktilde, cross, _ = _fixture_pieces()
-        g = filter_matrix(symmetric_eig(ktilde), TIK2, 2.0)
-        np.testing.assert_allclose(
-            shrinkage_coefficients(g, cross), [-0.25, 0.25], atol=1e-12
-        )
-
-    def test_zero_cross_gives_zero(self):
-        np.testing.assert_array_equal(
-            shrinkage_coefficients(np.eye(2), np.zeros(2)), np.zeros(2)
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ProtofilterError):
-            shrinkage_coefficients(np.eye(2), [1.0, 2.0, 3.0])
-
-
 class TestDistanceSq:
+    def test_fixture_eigen_coordinates(self):
+        # cross vector (-1, 1) against eigenvectors (1, -1)/sqrt2 (gamma = 2)
+        # and (1, 1)/sqrt2 (gamma = 0)
+        coords_sq, system, _ = _fixture_coords_sq()
+        np.testing.assert_allclose(system.values, [2.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(coords_sq, [2.0, 0.0], atol=1e-12)
+
     def test_zero_coefficients_return_query_norm(self):
-        _, _, _, ktilde, cross, q_norm = _fixture_pieces()
-        assert distance_sq(np.zeros(2), ktilde, cross, q_norm) == q_norm
+        coords_sq, system, q_norm = _fixture_coords_sq()
+        weights = shrinkage_weights(system, TIK2, 2.0)
+        assert distance_sq(np.zeros(2), weights, q_norm) == q_norm
+        assert distance_sq(coords_sq, np.zeros(2), q_norm) == q_norm
 
     def test_fixture_tikhonov(self):
-        _, _, _, ktilde, cross, q_norm = _fixture_pieces()
-        g = filter_matrix(symmetric_eig(ktilde), TIK2, 2.0)
-        value = distance_sq(shrinkage_coefficients(g, cross), ktilde, cross, q_norm)
+        coords_sq, system, q_norm = _fixture_coords_sq()
+        value = distance_sq(coords_sq, shrinkage_weights(system, TIK2, 2.0), q_norm)
         assert value == pytest.approx(1.25, abs=1e-12)
 
     def test_query_orthogonal_to_support_direction(self):
@@ -120,12 +108,29 @@ class TestDistanceSq:
             value = kernel_distance(IDENTITY, FIXTURE_SUPPORT, query, spec, lam)
             assert value == pytest.approx(1.0, abs=1e-10)
 
+    def test_one_shot_is_prototype_distance(self):
+        # a single support point has an all-zero spectrum: every filter and
+        # policy gives the prototype distance, including a relative policy,
+        # which resolves lambda = gamma = 0
+        support, query = [[1.0, 2.0, 3.0]], [0.0, 0.0, 0.0]
+        expected = protonet_distance(support, query)
+        relative = FilterSpec(FilterKind.TIKHONOV, RelativeToMaxEigenvalue(0.1))
+        assert kernel_distance(IDENTITY, support, query, relative) == expected
+        for spec in FILTER_GRID:
+            assert kernel_distance(IDENTITY, support, query, spec) == expected
+
     def test_tiny_negative_clamps(self):
-        assert distance_sq([1e-10], [[0.0]], [1.0], 0.0) == 0.0
+        assert distance_sq([1.0], [2e-10], 0.0) == 0.0
 
     def test_large_negative_raises(self):
         with pytest.raises(NumericalError):
-            distance_sq([1.0], [[0.0]], [1.0], 0.0)
+            distance_sq([1.0], [1.0], 0.0)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DataError):
+            distance_sq([1.0, 2.0], [1.0, 2.0, 3.0], 0.0)
+        with pytest.raises(DataError):
+            distance_sq([1.0, 2.0], np.eye(2), 0.0)
 
 
 class TestExplicitFeatureDistance:
@@ -358,10 +363,10 @@ class TestClassifyEpisode:
         if fault == "distance":  # only the zero filter fails, at class 0
             real_distance = classifier.distance_sq
 
-            def failing(coefficients, ktilde_ss, cross, query_norm):
-                if not np.any(coefficients):
-                    raise NumericalError("zero coefficients")
-                return real_distance(coefficients, ktilde_ss, cross, query_norm)
+            def failing(coords_sq, weights, query_norm):
+                if not np.any(weights):
+                    raise NumericalError("zero weights")
+                return real_distance(coords_sq, weights, query_norm)
 
             monkeypatch.setattr(classifier, "distance_sq", failing)
         filters = FILTER_GRID + (
@@ -389,7 +394,7 @@ class TestClassifyEpisode:
         assert ("ok" in outcomes) != (fault == "query_norm")
         assert len(set(outcomes)) >= 3
         if fault == "distance":
-            assert "class 0 (k0): zero coefficients" in outcomes
+            assert "class 0 (k0): zero weights" in outcomes
 
 class TestQueryBlocks:
     """Every per-query function takes an (m, ...) block; each row of the
@@ -405,23 +410,23 @@ class TestQueryBlocks:
             system = symmetric_eig(ktilde)
             for filter_spec in FILTER_GRID:
                 lam = resolve_lambda(filter_spec.lambda_policy, system)
-                g = filter_matrix(system, filter_spec, lam)
+                w = shrinkage_weights(system, filter_spec, lam)
                 rows = []
                 for q in queries:
                     kappa, k_qq = gram_query(spec, support, q)
                     b = center_cross(k_ss, kappa)
                     qn = centered_query_norm(k_ss, kappa, k_qq)
-                    a = shrinkage_coefficients(g, b)
-                    d = distance_sq(a, ktilde, b, qn)
+                    c2 = np.square(b @ system.vectors)
+                    d = distance_sq(c2, w, qn)
                     assert isinstance(k_qq, float) and isinstance(qn, float)
                     assert isinstance(d, float)
-                    rows.append((kappa, k_qq, b, qn, a, d))
+                    rows.append((kappa, k_qq, b, qn, c2, d))
                 kappa, k_qq = gram_query(spec, support, queries)
                 b = center_cross(k_ss, kappa)
                 qn = centered_query_norm(k_ss, kappa, k_qq)
-                a = shrinkage_coefficients(g, b)
-                d = distance_sq(a, ktilde, b, qn)
-                for block, stacked in zip((kappa, k_qq, b, qn, a, d), zip(*rows)):
+                c2 = np.square(b @ system.vectors)
+                d = distance_sq(c2, w, qn)
+                for block, stacked in zip((kappa, k_qq, b, qn, c2, d), zip(*rows)):
                     stacked = np.array(stacked)
                     assert block.shape == stacked.shape
                     np.testing.assert_allclose(
@@ -440,25 +445,25 @@ class TestQueryBlocks:
         with pytest.raises(NumericalError, match="row 2"):
             centered_query_norm([[1.0]], [[1.0]] * 4, [1.0, 1.0, 1.0 - 1e-6, 0.0])
         with pytest.raises(NumericalError, match="row 1"):
-            distance_sq([[0.0], [1.0]], [[0.0]], [[0.0], [1.0]], [0.0, 0.0])
+            distance_sq([[0.0], [1.0]], [1.0], [0.0, 0.0])
         with pytest.raises(NumericalError, match="row 3 must"):
             class_probabilities([[1.0, 2.0]] * 3 + [[np.nan, 1.0]], 1.0)
 
     def test_block_clamps_each_row(self):
         value = centered_query_norm([[1.0]], [[1.0]] * 3, [1.0 - 5e-10, 1.0, 3.0])
         np.testing.assert_array_equal(value, [0.0, 0.0, 2.0])
-        dist = distance_sq([[1e-10], [0.0]], [[0.0]], [[1.0], [0.0]], [0.0, 2.5])
+        dist = distance_sq([[1.0], [0.0]], [2e-10], [0.0, 2.5])
         np.testing.assert_array_equal(dist, [0.0, 2.5])
 
     def test_block_shape_mismatch_rejected(self):
         with pytest.raises(DataError):
             centered_query_norm([[1.0]], [[1.0]] * 3, [1.0, 1.0])
         with pytest.raises(DataError):
-            distance_sq(np.zeros((3, 2)), np.eye(2), np.zeros((2, 2)), np.zeros(3))
+            distance_sq(np.zeros((3, 2)), np.ones(2), np.zeros(2))
         with pytest.raises(DataError):
-            distance_sq(np.zeros((3, 2)), np.eye(2), np.zeros((3, 2)), 0.0)
-        with pytest.raises(ProtofilterError):
-            shrinkage_coefficients(np.eye(2), np.zeros((3, 3)))
+            distance_sq(np.zeros((3, 2)), np.ones(2), 0.0)
+        with pytest.raises(DataError):
+            distance_sq(np.zeros((3, 3)), np.ones(2), np.zeros(3))
 
 
 class TestReplicatedMatrixDistance:
@@ -588,14 +593,26 @@ class TestClassifierProperties:
             permuted = kernel_distance(kernel, support[perm], query, spec, 0.5)
             assert abs(base - permuted) <= 1e-10
 
-    def test_distance_invariant_to_null_space_shift_of_coefficients(self):
+    def test_distance_invariant_to_eigenspace_basis(self):
+        # the centered Gram of a regular simplex is (I - 11^T/n) times a
+        # scale: one eigenvalue repeated n - 1 times.  The distance depends
+        # on the eigenspace, not on the basis an eigensolver picks in it.
         rng = np.random.default_rng(56)
-        support, query = random_instance(rng, n=7, d=3)
-        _, _, _, ktilde, cross, q_norm = centered_pieces(IDENTITY, support, query)
-        system = symmetric_eig(ktilde)
-        g = filter_matrix(system, TIK2, 2.0)
-        coeffs = shrinkage_coefficients(g, cross)
-        base = distance_sq(coeffs, ktilde, cross, q_norm)
-        null_vec = system.vectors[:, system.values == 0.0][:, 0]
-        shifted = distance_sq(coeffs + 0.35 * null_vec, ktilde, cross, q_norm)
-        assert shifted == pytest.approx(base, abs=1e-7)
+        support = 3.0 * np.eye(5) + rng.standard_normal(5)
+        queries = rng.standard_normal((4, 5))
+        for spec in (IDENTITY, rbf_for(5)):
+            k_ss = gram_support(spec, support)
+            kappa, k_qq = gram_query(spec, support, queries)
+            cross = center_cross(k_ss, kappa)
+            q_norm = centered_query_norm(k_ss, kappa, k_qq)
+            system = symmetric_eig(center_support(k_ss))
+            repeated = system.values > 0.0
+            assert np.ptp(system.values[repeated]) <= 1e-9 * system.max_value
+            assert np.count_nonzero(repeated) == 4
+            weights = shrinkage_weights(system, TIK2, 2.0)
+            base = distance_sq(np.square(cross @ system.vectors), weights, q_norm)
+            rotation, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            vectors = system.vectors.copy()
+            vectors[:, repeated] = vectors[:, repeated] @ rotation
+            rotated = distance_sq(np.square(cross @ vectors), weights, q_norm)
+            np.testing.assert_allclose(rotated, base, rtol=1e-12, atol=0.0)

@@ -179,6 +179,13 @@ class TestExitCodes:
         assert code == 2
         assert "method 'eval': truncated-SVD" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shot", ["1", "2"])
+    def test_train_tsvd_lambda_zero_is_config_error(self, shot, capsys):
+        code = run(["train", "--synth", "reference", "--shot", shot, "--steps", "1",
+                    "--batch-episodes", "1", "--filter", "tsvd", "--lambda", "0", "--dout", "2"])
+        assert code == 2
+        assert "method 'train': truncated-SVD" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, code, message", [
         # the first failing method in list order decides the exit code
         (["compare", "--method", "proto:identity:zero:none",

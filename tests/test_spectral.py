@@ -1,9 +1,12 @@
 """Jacobi eigendecomposition and the spectral filter family."""
 
+import re
+
 import numpy as np
 import pytest
 
-from conftest import IDENTITY, centered_pieces, random_instance
+from conftest import IDENTITY, centered_pieces, kernel_distance, random_instance, rbf_for
+from oracles import filter_weight
 from protofilter import (
     AbsoluteLambda,
     ConfigurationError,
@@ -14,12 +17,10 @@ from protofilter import (
     NumericalError,
     RelativeToMaxEigenvalue,
     distance_sq,
-    filter_matrix,
-    filter_weight,
     format_lambda_policy,
     parse_lambda_policy,
     resolve_lambda,
-    shrinkage_coefficients,
+    shrinkage_weights,
     symmetric_eig,
 )
 
@@ -92,6 +93,8 @@ class TestSymmetricEig:
 
 
 class TestFilterWeight:
+    """The scalar filter function of the reference oracles."""
+
     def test_tikhonov(self):
         assert filter_weight(TIKHONOV, 2.0, 0.5) == pytest.approx(0.4, abs=1e-15)
 
@@ -141,24 +144,68 @@ class TestResolveLambda:
             RelativeToMaxEigenvalue(-0.1)
 
 
-class TestFilterMatrix:
-    def test_zero_filter_gives_zero_matrix(self):
+class TestShrinkageWeights:
+    def test_zero_filter_gives_zero_weights(self):
         system = symmetric_eig(_random_centered_psd(np.random.default_rng(35), 4))
-        np.testing.assert_array_equal(filter_matrix(system, ZERO, 0.0), np.zeros((4, 4)))
+        np.testing.assert_array_equal(shrinkage_weights(system, ZERO, 0.0), np.zeros(4))
 
-    def test_single_zero_eigenvalue_tikhonov(self):
-        system = symmetric_eig([[0.0]])
-        np.testing.assert_allclose(filter_matrix(system, TIKHONOV, 2.0), [[0.5]], atol=1e-15)
-
-    def test_two_by_two_spectral_assembly(self):
+    def test_two_by_two_closed_form(self):
+        # gamma = (2, 0), lambda = 2: h = 1/4 and w = h (2 - gamma h) on the
+        # nonzero eigenvalue; nothing to filter on the zero one
         system = symmetric_eig([[1.0, -1.0], [-1.0, 1.0]])
-        expected = [[0.375, 0.125], [0.125, 0.375]]
-        np.testing.assert_allclose(filter_matrix(system, TIKHONOV, 2.0), expected, atol=1e-12)
+        np.testing.assert_allclose(shrinkage_weights(system, TIKHONOV, 2.0), [0.375, 0.0],
+                                   rtol=1e-15, atol=0.0)
 
-    def test_result_symmetric(self):
-        system = symmetric_eig(_random_centered_psd(np.random.default_rng(36), 5))
-        g = filter_matrix(system, TIKHONOV, 0.3)
-        assert np.array_equal(g, g.T)
+    def test_matches_scalar_oracle(self):
+        rng = np.random.default_rng(36)
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            system = symmetric_eig(_random_centered_psd(rng, n))
+            nonzero = system.values > 0.0
+            assert not nonzero.all()  # clamped null direction
+            # relative=1 puts lambda at exactly the top eigenvalue, which
+            # truncated SVD keeps
+            policies = (AbsoluteLambda(0.0), AbsoluteLambda(0.3),
+                        AbsoluteLambda(float(rng.uniform(0.0, 5.0))),
+                        RelativeToMaxEigenvalue(0.1), RelativeToMaxEigenvalue(1.0))
+            for kind in FilterKind:
+                for policy in policies:
+                    spec = FilterSpec(kind, policy)
+                    lam = resolve_lambda(policy, system)
+                    try:
+                        fw = np.array([filter_weight(spec, float(g), lam) for g in system.values])
+                    except (ConfigurationError, NumericalError) as exc:
+                        with pytest.raises(type(exc), match=re.escape(str(exc))):
+                            shrinkage_weights(system, spec, lam)
+                        continue
+                    got = shrinkage_weights(system, spec, lam)
+                    # on a zero eigenvalue there is nothing to filter
+                    np.testing.assert_array_equal(
+                        got, np.where(nonzero, fw * (2.0 - system.values * fw), 0.0)
+                    )
+                    if kind is FilterKind.TRUNCATED_SVD and policy == RelativeToMaxEigenvalue(1.0):
+                        assert got[0] == pytest.approx(1.0 / lam, rel=1e-15)
+
+    def test_all_zero_spectrum_gives_zero_weights(self):
+        # 1-shot: h is never evaluated, so lambda = gamma = 0 is no error
+        system = symmetric_eig([[0.0]])
+        for kind in FilterKind:
+            for lam in (0.0, 2.0):
+                np.testing.assert_array_equal(
+                    shrinkage_weights(system, FilterSpec(kind, AbsoluteLambda(lam)), lam), [0.0]
+                )
+
+    def test_errors(self):
+        system = symmetric_eig(_random_centered_psd(np.random.default_rng(38), 3))
+        for spec in (ZERO, TIKHONOV, TSVD):
+            with pytest.raises(ConfigurationError, match="must be nonnegative"):
+                shrinkage_weights(system, spec, -1.0)
+        with pytest.raises(ConfigurationError, match="strictly positive"):
+            shrinkage_weights(system, TSVD, 0.0)
+        with pytest.raises(NumericalError, match="both zero"):
+            shrinkage_weights(system, TIKHONOV, 0.0)  # the centered null direction
+        full_rank = EigenSystem(np.array([4.0, 1.0]), np.eye(2))
+        np.testing.assert_array_equal(shrinkage_weights(full_rank, TIKHONOV, 0.0), [0.25, 1.0])
 
 
 class TestSpectralProperties:
@@ -204,15 +251,26 @@ class TestSpectralProperties:
         support, query = random_instance(rng, n=7, d=3)  # rank-deficient centered Gram
         _, _, _, ktilde, cross, q_norm = centered_pieces(IDENTITY, support, query)
         system = symmetric_eig(ktilde)
-        lam = 0.5
-        g = filter_matrix(system, TIKHONOV, lam)
-        null_vectors = system.vectors[:, system.values == 0.0]
-        assert null_vectors.shape[1] >= 2
-        altered = g + 1e3 * (null_vectors @ null_vectors.T)
-        baseline = distance_sq(shrinkage_coefficients(g, cross), ktilde, cross, q_norm)
-        changed = distance_sq(shrinkage_coefficients(altered, cross), ktilde, cross, q_norm)
-        assert not np.allclose(altered, g)
+        coords_sq = np.square(cross @ system.vectors)
+        weights = shrinkage_weights(system, TIKHONOV, 0.5)
+        null = system.values == 0.0
+        assert np.count_nonzero(null) >= 2
+        altered = weights + 1e3 * null
+        baseline = distance_sq(coords_sq, weights, q_norm)
+        changed = distance_sq(coords_sq, altered, q_norm)
         assert changed == pytest.approx(baseline, abs=1e-9)
+
+    def test_tikhonov_distance_nondecreasing_in_lambda(self):
+        # each weight (gamma + 2 lambda) / (gamma + lambda)^2 decreases in lambda
+        rng = np.random.default_rng(40)
+        lams = np.logspace(-4, 4, 33)
+        for trial in range(60):
+            support, query = random_instance(rng)
+            kernel = rbf_for(support.shape[1]) if trial % 2 else IDENTITY
+            path = [kernel_distance(kernel, support, query,
+                                    FilterSpec(FilterKind.TIKHONOV, AbsoluteLambda(lam)), lam)
+                    for lam in lams]
+            assert np.all(np.diff(path) >= 0.0), path
 
 
 class TestLambdaPolicyText:
