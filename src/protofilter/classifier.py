@@ -4,6 +4,7 @@ eigensystem."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,11 +30,6 @@ class EpisodeResult:
     loss: float
 
 
-def _in_class(exc: ProtofilterError, episode, c: int) -> ProtofilterError:
-    exc.args = (f"class {c} ({episode.class_labels[c]}): {exc}",)
-    return exc
-
-
 def distance_sq(coords_sq, weights, query_norm) -> float | np.ndarray:
     """Squared norm of the filtered relative prototype.
 
@@ -57,8 +53,8 @@ def class_probabilities(dist_sq, zeta: float) -> np.ndarray:
     d = np.asarray(dist_sq, dtype=np.float64)
     if d.ndim not in (1, 2) or d.shape[-1] < 2:
         raise DataError(f"need distances for at least two classes, got shape {d.shape}")
-    if not zeta > 0:
-        raise ConfigurationError(f"metric scaling zeta must be positive, got {zeta}")
+    if not (math.isfinite(zeta) and zeta > 0):
+        raise ConfigurationError(f"metric scaling zeta must be finite and positive, got {zeta}")
     bad = np.flatnonzero(~np.isfinite(d).all(axis=-1))
     if bad.size:
         row = f" in row {bad[0]}" if d.ndim == 2 else ""
@@ -85,81 +81,52 @@ def episode_loss(probs, labels) -> float:
     return float(-np.mean(np.log(true_p)))
 
 
-def _scored(dists: np.ndarray, zeta: float, labels) -> EpisodeResult | ProtofilterError:
-    """One filter's probabilities, predictions and loss, or the error they raise."""
-    try:
-        probs = class_probabilities(dists, zeta)
-        return EpisodeResult(dists, probs, dists.argmin(axis=1), episode_loss(probs, labels))
-    except ProtofilterError as exc:
-        return exc
-
-
 def classify_filters(episode, kernel: KernelSpec, filter_specs: Sequence[FilterSpec],
-                     zeta: float = 1.0) -> list[EpisodeResult | ProtofilterError]:
+                     zeta: float = 1.0) -> list[EpisodeResult]:
     """Classify every query of an episode once per filter.
 
     Per class the Gram matrix, centering, eigendecomposition, query kernel
     rows, squared eigen-coordinates of the cross block and query norms are
     computed once and shared by every filter; the resolved shrinkage
     parameter, shrinkage weights, distances, probabilities and loss are
-    computed per filter.  A filter that fails gets its error in place of
-    its result and takes no further part, so each entry is exactly what
-    :func:`classify_episode` gives that filter alone: its result, or the
-    error it raises (with class context when a class raised it).
+    computed per filter, so each result is bitwise what
+    :func:`classify_episode` gives that filter alone.  The first error
+    raises, with class context when a class raised it; which filter of
+    several fails first is for the caller to find out (by running them
+    one at a time).
     """
     spec = resolve_kernel(kernel, episode.dim)
     queries = episode.query_features
-    outcomes: list = [np.empty((queries.shape[0], episode.way)) for _ in filter_specs]
-    live = list(range(len(filter_specs)))  # filters with no error so far
+    dists = np.empty((len(filter_specs), queries.shape[0], episode.way))
     for c in range(episode.way):
-        if not live:
-            break
         support = episode.support[c]
         try:
             k_ss = gram_support(spec, support)
             eigensystem = symmetric_eig(center_support(k_ss))
-            weighted = []
-            for i in live:
-                try:
-                    lam = resolve_lambda(filter_specs[i].lambda_policy, eigensystem)
-                    weighted.append((i, shrinkage_weights(eigensystem, filter_specs[i], lam)))
-                except ProtofilterError as exc:
-                    outcomes[i] = _in_class(exc, episode, c)
-            live = [i for i, _ in weighted]
-            if not live:
-                continue
+            weights = [shrinkage_weights(eigensystem, f,
+                                         resolve_lambda(f.lambda_policy, eigensystem))
+                       for f in filter_specs]
             kappa, k_qq = gram_query(spec, support, queries)
             coords_sq = np.square(center_cross(k_ss, kappa) @ eigensystem.vectors)
             q_norm = centered_query_norm(k_ss, kappa, k_qq)
             # one matvec per filter: a result never depends on which
             # other filters share the pass
-            for i, w in weighted:
-                try:
-                    outcomes[i][:, c] = distance_sq(coords_sq, w, q_norm)
-                except ProtofilterError as exc:
-                    outcomes[i] = _in_class(exc, episode, c)
-                    live.remove(i)
+            for i, w in enumerate(weights):
+                dists[i, :, c] = distance_sq(coords_sq, w, q_norm)
         except ProtofilterError as exc:
-            shared = _in_class(exc, episode, c)
-            for i in live:
-                outcomes[i] = shared
-            live = []
-    return [_scored(out, zeta, episode.query_labels) if isinstance(out, np.ndarray) else out
-            for out in outcomes]
+            exc.args = (f"class {c} ({episode.class_labels[c]}): {exc}",)
+            raise
+    results = []
+    for d in dists:
+        probs = class_probabilities(d, zeta)
+        results.append(EpisodeResult(d, probs, d.argmin(axis=1),
+                                     episode_loss(probs, episode.query_labels)))
+    return results
 
 
 def classify_episode(episode, kernel: KernelSpec, filter_spec: FilterSpec,
                      zeta: float = 1.0) -> EpisodeResult:
-    """Classify every query of an episode against its support classes.
-
-    Per class the Gram matrix, centering, eigendecomposition, resolved
-    shrinkage parameter, and shrinkage weights are computed once, then the
-    kernel rows, eigen-coordinates of the cross vectors, query norms and
-    distances of the whole query block.  Errors are re-raised with class
-    context; a block check names its offending row, which is the query
-    index.  This is :func:`classify_filters` with one filter.
-    """
-    (result,) = classify_filters(episode, kernel, [filter_spec], zeta)
-    if isinstance(result, ProtofilterError):
-        raise result
-    return result
+    """Classify every query of an episode against its support classes:
+    :func:`classify_filters` with one filter.  Errors carry class context;
+    a block check names its offending row, which is the query index."""
+    return classify_filters(episode, kernel, [filter_spec], zeta)[0]

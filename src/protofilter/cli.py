@@ -54,12 +54,19 @@ def _add_method_flags(parser: argparse.ArgumentParser) -> None:
                         help="absolute shrinkage parameter")
     policy.add_argument("--rho", type=float, default=None,
                         help="shrinkage as a multiple of each class's top eigenvalue")
+
+
+def _add_eval_parser(sub, name: str, help_text: str, func) -> argparse.ArgumentParser:
+    """A subcommand that classifies an episode stream with one method or more."""
+    parser = sub.add_parser(name, help=help_text)
+    _add_dataset_flags(parser)
+    _add_episode_flags(parser)
+    _add_method_flags(parser)
     parser.add_argument("--zeta", type=float, default=1.0, help="metric scaling")
-
-
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", help="write machine-readable records to this path")
     parser.add_argument("--workers", type=int, default=1)
+    parser.set_defaults(func=func)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,31 +77,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="evaluate one method")
-    _add_dataset_flags(p_eval)
-    _add_episode_flags(p_eval)
-    _add_method_flags(p_eval)
-    _add_output_flags(p_eval)
-    p_eval.set_defaults(func=_cmd_eval)
+    _add_eval_parser(sub, "eval", "evaluate one method", _cmd_eval)
 
-    p_cmp = sub.add_parser("compare", help="evaluate several methods on paired episodes")
-    _add_dataset_flags(p_cmp)
-    _add_episode_flags(p_cmp)
-    _add_method_flags(p_cmp)
-    _add_output_flags(p_cmp)
+    p_cmp = _add_eval_parser(sub, "compare", "evaluate several methods on paired episodes",
+                             _cmd_compare)
     p_cmp.add_argument("--method", action="append", default=[],
                        help="name:kernel:filter:lambda_policy "
                             "(policy: absolute=V, relative=V, or none); repeatable")
-    p_cmp.set_defaults(func=_cmd_compare)
 
-    p_sweep = sub.add_parser("sweep", help="sweep the absolute shrinkage parameter")
-    _add_dataset_flags(p_sweep)
-    _add_episode_flags(p_sweep)
-    _add_method_flags(p_sweep)
-    _add_output_flags(p_sweep)
+    p_sweep = _add_eval_parser(sub, "sweep", "sweep the absolute shrinkage parameter",
+                               _cmd_sweep)
     p_sweep.add_argument("--lambdas", default=",".join(f"{v:g}" for v in DEFAULT_LAMBDA_GRID),
                          help="comma-separated shrinkage parameters")
-    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_dump = sub.add_parser("synth-dump", help="materialize a synthetic dataset as CSV")
     p_dump.add_argument("--synth", required=True,
@@ -102,7 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("--out", required=True, help="output CSV path")
     p_dump.set_defaults(func=_cmd_synth_dump)
 
-    p_train = sub.add_parser("train", help="train a linear embedding by finite differences")
+    # no abbreviated flags: ``--zeta`` must not pass for ``--zeta0``
+    p_train = sub.add_parser("train", help="train a linear embedding by finite differences",
+                             allow_abbrev=False)
     _add_dataset_flags(p_train)
     p_train.add_argument("--way", type=int, default=2)
     p_train.add_argument("--shot", type=int, default=2)

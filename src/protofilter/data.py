@@ -4,6 +4,7 @@ one-shot support-augmentation policy."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,12 @@ class SynthConfig:
     sample_seed: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("class_count", "dim", "per_class_count", "rotation_seed", "sample_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        if any(isinstance(a, bool) or not isinstance(a, Real) for a in self.anisotropy):
+            raise ConfigurationError(f"anisotropy entries must be numbers, got {self.anisotropy!r}")
         object.__setattr__(self, "anisotropy", tuple(float(a) for a in self.anisotropy))
         if self.class_count < 1:
             raise ConfigurationError(f"class_count must be >= 1, got {self.class_count}")

@@ -9,14 +9,15 @@ one pass over that stream: each episode is built once and classified by
 every method, and methods with the same kernel share each class's Gram,
 centering, eigensystem and query kernel rows.  Comparisons are therefore
 paired by construction, and each report equals the one its method gets
-from :func:`evaluate` alone.
+from :func:`evaluate` alone.  Errors raise at the first failing episode;
+when a walk of several methods fails, the methods are walked again one
+at a time, so the error raised is the one the per-method loop raises.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -69,8 +70,8 @@ class EvalConfig:
             raise ConfigurationError(
                 f"query_per_class must be >= 1, got {self.query_per_class}"
             )
-        if not self.zeta > 0:
-            raise ConfigurationError(f"zeta must be positive, got {self.zeta}")
+        if not (math.isfinite(self.zeta) and self.zeta > 0):
+            raise ConfigurationError(f"zeta must be finite and positive, got {self.zeta}")
         if self.master_seed < 0:
             raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers < 1:
@@ -147,86 +148,78 @@ def _echo(cfg: EvalConfig, kernel: KernelSpec) -> dict:
     }
 
 
-def _evaluate_methods(dataset: Dataset, base_cfg: EvalConfig,
-                      methods: Sequence[tuple[str, KernelSpec, FilterSpec]]) -> list[EvalReport]:
+def _walk(dataset: Dataset, base_cfg: EvalConfig,
+          methods: Sequence[tuple[str, KernelSpec, FilterSpec]]) -> list[EvalReport]:
     """One report per (name, kernel, filter) method, from one walk over the
-    episode stream of ``base_cfg``.
+    episode stream of ``base_cfg``; raises at the first failing episode.
 
     Each episode is built once.  Methods sharing a resolved kernel share
     its per-class Gram, centering, eigensystem and query kernel rows
     (:func:`classify_filters`); only the filter, distances and loss are
     per method, so every report equals the method's own one-method walk.
-    On failure the error of the first failing method in list order is
-    raised, as if the methods had been evaluated one after another: a
-    method stops at its first failure, and the walk goes on only while a
-    method listed before every failed one still runs.
     """
-    configs, kernels = [], []
-    error: ProtofilterError | None = None
-    for name, kernel, filter_spec in methods:
-        try:
-            cfg = replace(base_cfg, kernel=kernel, filter=filter_spec)
-            resolved = resolve_kernel(kernel, dataset.dim)
-            _check_method(name, filter_spec)
-        except ProtofilterError as exc:
-            error = exc
-            break
-        configs.append(cfg)
-        kernels.append(resolved)
-    # only methods listed before the first failure found so far are run
-    width = len(kernels)
+    kernels = [resolve_kernel(kernel, dataset.dim) for _, kernel, _ in methods]
+    for name, _, filter_spec in methods:
+        _check_method(name, filter_spec)
     groups: dict[KernelSpec, list[int]] = {}
     for k, kernel in enumerate(kernels):
         groups.setdefault(kernel, []).append(k)
 
-    def run(index: int) -> list:
-        active = width  # read when the episode runs; see the walk below
+    def run(index: int) -> list[tuple[float, float]]:
         try:
             episode = build_episode(dataset, base_cfg, index)
+            row: list = [None] * len(methods)
+            for kernel, members in groups.items():
+                results = classify_filters(episode, kernel, [methods[k][2] for k in members],
+                                           base_cfg.zeta)
+                for k, result in zip(members, results):
+                    row[k] = (float(np.mean(result.predicted == episode.query_labels)),
+                              result.loss)
+            return row
         except ProtofilterError as exc:
-            return [exc] * active
-        outcomes: list = [None] * active
-        for kernel, members in groups.items():
-            needed = [k for k in members if k < active]
-            results = classify_filters(episode, kernel, [configs[k].filter for k in needed],
-                                       base_cfg.zeta)
-            for k, result in zip(needed, results):
-                outcomes[k] = result if isinstance(result, ProtofilterError) else (
-                    float(np.mean(result.predicted == episode.query_labels)), result.loss)
-        return outcomes
+            exc.args = (f"episode {index}: {exc}",)
+            raise
 
-    metrics: list[list[tuple[float, float]]] = [[] for _ in range(width)]
     indices = range(base_cfg.episode_count)
-    with (ThreadPoolExecutor(max_workers=base_cfg.workers) if base_cfg.workers > 1
-          else nullcontext()) as pool:
-        # ``map`` is lazy, so a serial walk runs each episode only for the
-        # methods still needed.  Pool threads may read a larger ``width``
-        # than the one an episode is consumed at, never a smaller one:
-        # it only shrinks, and an episode is consumed after it has run.
-        rows = pool.map(run, indices) if pool is not None else map(run, indices)
-        for index, row in zip(indices, rows):
-            for k, outcome in enumerate(row[:width]):
-                if isinstance(outcome, ProtofilterError):
-                    outcome.args = (f"episode {index}: {outcome}",)
-                    error, width = outcome, k
-                    break
-                metrics[k].append(outcome)
-            if width == 0:
-                break
-    if error is not None:
-        raise error
+    if base_cfg.workers > 1:
+        # ``map`` yields in episode order, so the first failing episode raises
+        with ThreadPoolExecutor(max_workers=base_cfg.workers) as pool:
+            rows = list(pool.map(run, indices))
+    else:
+        rows = [run(index) for index in indices]
     reports = []
-    for (name, _, _), cfg, kernel, rows in zip(methods, configs, kernels, metrics):
-        accuracies = tuple(a for a, _ in rows)
+    for k, ((name, kernel, filter_spec), resolved) in enumerate(zip(methods, kernels)):
+        accuracies = tuple(row[k][0] for row in rows)
         reports.append(EvalReport(
             name=name,
             accuracy_mean=float(np.mean(accuracies)),
             ci95_halfwidth=_ci95(accuracies),
-            mean_loss=float(np.mean([loss for _, loss in rows])),
+            mean_loss=float(np.mean([row[k][1] for row in rows])),
             per_episode_accuracies=accuracies,
-            config_echo=_echo(cfg, kernel),
+            config_echo=_echo(replace(base_cfg, kernel=kernel, filter=filter_spec), resolved),
         ))
     return reports
+
+
+def _evaluate_methods(dataset: Dataset, base_cfg: EvalConfig,
+                      methods: Sequence[tuple[str, KernelSpec, FilterSpec]]) -> list[EvalReport]:
+    """One report per method from one shared walk (:func:`_walk`).
+
+    Errors raise.  If the shared walk of several methods fails, the
+    methods are walked again one at a time in list order, and the first
+    of them to fail raises its own error: by construction the error the
+    per-method loop raises.  Only a failing run pays for the replay, which
+    walks each method up to its own failure.
+    """
+    try:
+        return _walk(dataset, base_cfg, methods)
+    except ProtofilterError as exc:
+        if len(methods) == 1:
+            raise
+        error = exc
+    for method in methods:
+        _walk(dataset, base_cfg, [method])
+    raise error
 
 
 def evaluate(dataset: Dataset, cfg: EvalConfig, name: str = "eval") -> EvalReport:
@@ -249,8 +242,9 @@ def compare_methods(dataset: Dataset, base_cfg: EvalConfig,
     episode stream: every episode is built once and classified by every
     method, so accuracy differences are paired per episode by
     construction.  Methods with the same kernel share each class's
-    eigensystem.  Each report, and the error raised if a method fails,
-    equals what :func:`evaluate` gives for that method alone."""
+    eigensystem.  Each report equals what :func:`evaluate` gives for that
+    method alone; on failure the first failing method in list order
+    raises the error it raises alone."""
     entries = list(methods)
     if not entries:
         raise ConfigurationError("method list is empty")

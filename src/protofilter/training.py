@@ -8,6 +8,7 @@ fresh batch is drawn per step from a counter-keyed stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,8 +87,10 @@ class TrainConfig:
             raise ConfigurationError("shot and query_per_class must be >= 1")
         if self.batch_episodes < 1:
             raise ConfigurationError(f"batch_episodes must be >= 1, got {self.batch_episodes}")
-        if not self.learning_rate > 0:
-            raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
         if not self.fd_step > 0:
             raise ConfigurationError(f"fd_step must be positive, got {self.fd_step}")
         if not (self.train_weights or self.train_zeta):
@@ -198,8 +201,8 @@ def train(dataset: Dataset, cfg: TrainConfig, init: LinearEmbedding,
     truncated-SVD filter whose policy can only resolve lambda = 0 is a
     ConfigurationError, raised before any batch is drawn.
     """
-    if not zeta0 > 0:
-        raise ConfigurationError(f"initial zeta must be positive, got {zeta0}")
+    if not (math.isfinite(zeta0) and zeta0 > 0):
+        raise ConfigurationError(f"initial zeta must be finite and positive, got {zeta0}")
     _check_method("train", cfg.filter)
     n_params = init.d_out * init.d_in + 1
     if n_params > _MAX_PARAMS:

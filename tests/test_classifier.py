@@ -222,6 +222,11 @@ class TestClassProbabilities:
         with pytest.raises(ConfigurationError):
             class_probabilities([1.0, 2.0], 0.0)
 
+    @pytest.mark.parametrize("zeta", [float("inf"), float("nan")])
+    def test_non_finite_zeta_rejected(self, zeta):
+        with pytest.raises(ConfigurationError, match="finite"):
+            class_probabilities([1.0, 2.0], zeta)
+
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             class_probabilities([1.0], 1.0)
@@ -350,6 +355,9 @@ class TestClassifyEpisode:
     def test_shared_pass_matches_each_filter_alone(self, monkeypatch, zeta, fault):
         rng = np.random.default_rng(59)
         episode = _two_class_episode(rng, way=3, shot=3, queries=2, d=4)
+        # the one filter that fails at class 0: centering leaves a zero eigenvalue
+        failing = FilterSpec(FilterKind.TIKHONOV, AbsoluteLambda(0.0))
+        filters = FILTER_GRID + (failing,)
         if fault == "query_norm":  # a shared stage fails at class 0, after the filter stage
             real_query = classifier.gram_query
 
@@ -360,41 +368,47 @@ class TestClassifyEpisode:
                 return kappa, k_qq
 
             monkeypatch.setattr(classifier, "gram_query", corrupted)
+            failing, filters = None, FILTER_GRID
         if fault == "distance":  # only the zero filter fails, at class 0
             real_distance = classifier.distance_sq
 
-            def failing(coords_sq, weights, query_norm):
+            def zero_fails(coords_sq, weights, query_norm):
                 if not np.any(weights):
                     raise NumericalError("zero weights")
                 return real_distance(coords_sq, weights, query_norm)
 
-            monkeypatch.setattr(classifier, "distance_sq", failing)
-        filters = FILTER_GRID + (
-            FilterSpec(FilterKind.TIKHONOV, AbsoluteLambda(0.0)),  # fails at class 0
-            FilterSpec(FilterKind.TRUNCATED_SVD, AbsoluteLambda(0.0)),
-        )
-        outcomes = []
+            monkeypatch.setattr(classifier, "distance_sq", zero_fails)
+            failing = ZERO
+            filters = (TIK2, ZERO, FilterSpec(FilterKind.TRUNCATED_SVD, RelativeToMaxEigenvalue(0.1)))
+
+        def outcome(group, spec):
+            try:
+                return classifier.classify_filters(episode, spec, group, zeta)
+            except ProtofilterError as exc:
+                return type(exc), str(exc)
+
+        succeeded = 0
         for spec in (IDENTITY, rbf_for(4)):
-            shared = classifier.classify_filters(episode, spec, filters, zeta)
-            assert len(shared) == len(filters)
-            for filter_spec, got in zip(filters, shared):
-                try:
-                    want = classify_episode(episode, spec, filter_spec, zeta)
-                except ProtofilterError as exc:
-                    assert type(got) is type(exc) and str(got) == str(exc)
-                    outcomes.append(str(exc))
-                    continue
+            own = {f: outcome([f], spec) for f in filters}
+            ok = [f for f in filters if isinstance(own[f], list)]
+            results = classifier.classify_filters(episode, spec, ok, zeta) if ok else []
+            for filter_spec, got in zip(ok, results):
+                (want,) = own[filter_spec]
                 np.testing.assert_array_equal(got.dist_sq, want.dist_sq)
                 np.testing.assert_array_equal(got.probs, want.probs)
                 np.testing.assert_array_equal(got.predicted, want.predicted)
                 assert got.loss == want.loss
-                outcomes.append("ok")
-        assert any(o.startswith("class 0 (k0)") for o in outcomes)
-        # with a shared fault the two filter-stage errors keep their own message
-        assert ("ok" in outcomes) != (fault == "query_norm")
-        assert len(set(outcomes)) >= 3
+            succeeded += len(ok)
+            shared = outcome(filters, spec)
+            assert shared[0] is NumericalError and shared[1].startswith("class 0 (k0): ")
+            if failing is None:  # a shared fault: every filter raises the same error alone
+                assert all(own[f] == shared for f in filters)
+            else:  # exactly one filter fails at a class: its own error raises
+                assert shared == own[failing]
+        assert succeeded >= (0 if fault == "query_norm" else 2)
         if fault == "distance":
-            assert "class 0 (k0): zero weights" in outcomes
+            assert shared == (NumericalError, "class 0 (k0): zero weights")
+
 
 class TestQueryBlocks:
     """Every per-query function takes an (m, ...) block; each row of the

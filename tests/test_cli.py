@@ -206,6 +206,45 @@ class TestExitCodes:
         assert run(command + shape) == code
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("anisotropy", ["x", 1], "anisotropy entries must be numbers"),
+        ("class_count", 3.5, "class_count must be an integer"),
+    ])
+    def test_bad_synth_json_is_config_error(self, tmp_path, field, value, message, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**SMALL_SYNTH, field: value}))
+        code = run(["eval", "--synth", str(path), "--way", "2", "--shot", "2",
+                    "--query", "1", "--episodes", "2", "--filter", "zero"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_finite_zeta_is_config_error(self, synth_json, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        code = run(["eval", "--synth", synth_json, "--way", "3", "--shot", "2",
+                    "--query", "2", "--episodes", "2", "--filter", "zero",
+                    "--zeta", "inf", "--json", str(out_path)])
+        assert code == 2
+        assert "zeta must be finite" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--zeta0", "initial zeta must be finite"),
+        ("--lr", "learning_rate must be finite"),
+    ])
+    def test_train_non_finite_scaling_is_config_error(self, synth_json, flag, message, capsys):
+        code = run(["train", "--synth", synth_json, "--steps", "1", "--batch-episodes", "1",
+                    "--filter", "tikhonov", "--lambda", "1", flag, "inf"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_train_has_no_zeta_flag(self, synth_json, capsys):
+        # train scales by --zeta0; --zeta is an evaluation flag, not an abbreviation
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--synth", synth_json, "--steps", "1", "--filter", "tikhonov",
+                 "--lambda", "1", "--zeta", "50"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --zeta" in capsys.readouterr().err
+
     def test_missing_policy_is_config_error(self, synth_json, capsys):
         code = run(["eval", "--synth", synth_json, "--episodes", "2",
                     "--filter", "tikhonov"])

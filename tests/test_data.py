@@ -137,6 +137,23 @@ class TestSynthGenerate:
         with pytest.raises(ConfigurationError):
             SynthConfig(2, 2, 4, 1.0, (1.0, -1.0))
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"class_count": 3.5}, "class_count must be an integer"),
+        ({"dim": 2.0}, "dim must be an integer"),
+        ({"per_class_count": True}, "per_class_count must be an integer"),
+        ({"rotation_seed": "1"}, "rotation_seed must be an integer"),
+        ({"sample_seed": 1.5}, "sample_seed must be an integer"),
+        ({"anisotropy": ("x", 1.0)}, "anisotropy entries must be numbers"),
+        ({"anisotropy": (None, 1.0)}, "anisotropy entries must be numbers"),
+    ])
+    def test_non_integer_counts_and_non_numeric_anisotropy_rejected(self, fields, message):
+        base = dict(class_count=2, dim=2, per_class_count=4, mean_scale=1.0,
+                    anisotropy=(1.0, 1.0))
+        with pytest.raises(ConfigurationError, match=message):
+            SynthConfig(**{**base, **fields})
+        # numpy scalars are numbers
+        SynthConfig(np.int64(2), 2, 4, 1.0, (np.float32(1.0), 1))
+
     def test_reference_preset_shape(self):
         cfg = SYNTH_PRESETS["reference"]
         assert (cfg.class_count, cfg.dim, cfg.per_class_count) == (20, 16, 200)

@@ -98,6 +98,11 @@ class TestEvaluate:
         with pytest.raises(ConfigurationError):
             small_cfg(workers=0)
 
+    @pytest.mark.parametrize("zeta", [float("inf"), float("nan")])
+    def test_non_finite_zeta_rejected(self, zeta):
+        with pytest.raises(ConfigurationError, match="finite"):
+            small_cfg(zeta=zeta)
+
 
 class TestEpisodeStreamPairing:
     def test_method_fields_cannot_change_episodes(self):

@@ -174,6 +174,13 @@ class TestTrain:
         with pytest.raises(ConfigurationError):
             train(small_task(), small_cfg(steps=1), LinearEmbedding.identity(4), 0.0)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_zeta0_and_rate_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="initial zeta must be finite"):
+            train(small_task(), small_cfg(steps=1), LinearEmbedding.identity(4), value)
+        with pytest.raises(ConfigurationError, match="learning_rate must be finite"):
+            small_cfg(learning_rate=value)
+
     def test_negative_steps_rejected(self):
         with pytest.raises(ConfigurationError):
             small_cfg(steps=-1)
