@@ -96,17 +96,22 @@ def classify_filters(episode, kernel: KernelSpec, filter_specs: Sequence[FilterS
     one at a time).
     """
     spec = resolve_kernel(kernel, episode.dim)
-    queries = episode.query_features
-    dists = np.empty((len(filter_specs), queries.shape[0], episode.way))
+    # Both kernels are translation-invariant after centering, so each class
+    # is scored in coordinates relative to its support mean: raw inner
+    # products of far-off features would cancel catastrophically.
+    means = episode.support.mean(axis=1, keepdims=True)
+    supports = episode.support - means
+    queries = episode.query_features - means
+    dists = np.empty((len(filter_specs), queries.shape[1], episode.way))
     for c in range(episode.way):
-        support = episode.support[c]
+        support = supports[c]
         try:
             k_ss = gram_support(spec, support)
             eigensystem = symmetric_eig(center_support(k_ss))
             weights = [shrinkage_weights(eigensystem, f,
                                          resolve_lambda(f.lambda_policy, eigensystem))
                        for f in filter_specs]
-            kappa, k_qq = gram_query(spec, support, queries)
+            kappa, k_qq = gram_query(spec, support, queries[c])
             coords_sq = np.square(center_cross(k_ss, kappa) @ eigensystem.vectors)
             q_norm = centered_query_norm(k_ss, kappa, k_qq)
             # one matvec per filter: a result never depends on which

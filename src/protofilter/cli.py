@@ -44,24 +44,31 @@ def _add_episode_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _add_method_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kernel", choices=[k.value for k in KernelKind], default="identity")
+def _add_method_flags(parser: argparse.ArgumentParser, *, kernel_and_filter: bool = True,
+                      policy: bool = True) -> None:
+    """``--sigma2``, and for the subcommands that read them ``--kernel``,
+    ``--filter`` and the ``--lambda`` / ``--rho`` shrinkage policy."""
     parser.add_argument("--sigma2", type=float, default=None,
                         help="RBF bandwidth; defaults to the data dimension")
-    parser.add_argument("--filter", choices=[f.value for f in FilterKind], default="tikhonov")
-    policy = parser.add_mutually_exclusive_group()
-    policy.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help="absolute shrinkage parameter")
-    policy.add_argument("--rho", type=float, default=None,
-                        help="shrinkage as a multiple of each class's top eigenvalue")
+    if kernel_and_filter:
+        parser.add_argument("--kernel", choices=[k.value for k in KernelKind], default="identity")
+        parser.add_argument("--filter", choices=[f.value for f in FilterKind], default="tikhonov")
+    if policy:
+        group = parser.add_mutually_exclusive_group()
+        group.add_argument("--lambda", dest="lam", type=float, default=None,
+                           help="absolute shrinkage parameter")
+        group.add_argument("--rho", type=float, default=None,
+                           help="shrinkage as a multiple of each class's top eigenvalue")
 
 
-def _add_eval_parser(sub, name: str, help_text: str, func) -> argparse.ArgumentParser:
-    """A subcommand that classifies an episode stream with one method or more."""
-    parser = sub.add_parser(name, help=help_text)
+def _add_eval_parser(sub, name: str, help_text: str, func,
+                     **method_flags) -> argparse.ArgumentParser:
+    """A subcommand that classifies an episode stream with one method or more.
+    No abbreviated flags: ``sweep --lambda`` must not pass for ``--lambdas``."""
+    parser = sub.add_parser(name, help=help_text, allow_abbrev=False)
     _add_dataset_flags(parser)
     _add_episode_flags(parser)
-    _add_method_flags(parser)
+    _add_method_flags(parser, **method_flags)
     parser.add_argument("--zeta", type=float, default=1.0, help="metric scaling")
     parser.add_argument("--json", help="write machine-readable records to this path")
     parser.add_argument("--workers", type=int, default=1)
@@ -80,13 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eval_parser(sub, "eval", "evaluate one method", _cmd_eval)
 
     p_cmp = _add_eval_parser(sub, "compare", "evaluate several methods on paired episodes",
-                             _cmd_compare)
+                             _cmd_compare, kernel_and_filter=False, policy=False)
     p_cmp.add_argument("--method", action="append", default=[],
                        help="name:kernel:filter:lambda_policy "
                             "(policy: absolute=V, relative=V, or none); repeatable")
 
     p_sweep = _add_eval_parser(sub, "sweep", "sweep the absolute shrinkage parameter",
-                               _cmd_sweep)
+                               _cmd_sweep, policy=False)
     p_sweep.add_argument("--lambdas", default=",".join(f"{v:g}" for v in DEFAULT_LAMBDA_GRID),
                          help="comma-separated shrinkage parameters")
 
@@ -157,13 +164,13 @@ def _kernel_from_args(args) -> KernelSpec:
     return KernelSpec(kind)
 
 
-def _filter_from_args(args, require_policy: bool = True) -> FilterSpec:
+def _filter_from_args(args) -> FilterSpec:
     kind = FilterKind(args.filter)
     if args.lam is not None:
         policy = AbsoluteLambda(args.lam)
     elif args.rho is not None:
         policy = RelativeToMaxEigenvalue(args.rho)
-    elif kind is FilterKind.ZERO or not require_policy:
+    elif kind is FilterKind.ZERO:
         policy = AbsoluteLambda(0.0)
     else:
         raise ConfigurationError(
@@ -186,18 +193,18 @@ def _one_shot_from_args(text: str) -> Jitter | None:
     raise ConfigurationError(f"unknown one-shot policy {text!r}; use none or jitter[:sigma]")
 
 
-def _eval_config(args, require_policy: bool = True) -> EvalConfig:
+def _eval_config(args, **method) -> EvalConfig:
+    """The flags' stream and protocol; ``method`` may set kernel and filter."""
     return EvalConfig(
         way=args.way,
         shot=args.shot,
         query_per_class=args.query,
         episode_count=args.episodes,
-        kernel=_kernel_from_args(args),
-        filter=_filter_from_args(args, require_policy=require_policy),
         zeta=args.zeta,
         one_shot=_one_shot_from_args(args.one_shot),
         master_seed=args.seed,
         workers=args.workers,
+        **method,
     )
 
 
@@ -210,7 +217,8 @@ def _emit(reports, json_path) -> None:
 
 def _cmd_eval(args) -> int:
     dataset = _load_dataset(args)
-    report = evaluate(dataset, _eval_config(args))
+    report = evaluate(dataset, _eval_config(args, kernel=_kernel_from_args(args),
+                                            filter=_filter_from_args(args)))
     _emit([report], args.json)
     return 0
 
@@ -239,7 +247,7 @@ def _cmd_compare(args) -> int:
     if not args.method:
         raise ConfigurationError("compare needs at least one --method")
     methods = [_parse_method(m, args) for m in args.method]
-    reports = compare_methods(dataset, _eval_config(args, require_policy=False), methods)
+    reports = compare_methods(dataset, _eval_config(args), methods)
     _emit(reports, args.json)
     return 0
 
@@ -250,7 +258,9 @@ def _cmd_sweep(args) -> int:
         values = [float(v) for v in args.lambdas.split(",") if v.strip()]
     except ValueError:
         raise ConfigurationError(f"--lambdas must be comma-separated numbers, got {args.lambdas!r}") from None
-    reports = lambda_sweep(dataset, _eval_config(args, require_policy=False), values)
+    base = _eval_config(args, kernel=_kernel_from_args(args),
+                        filter=FilterSpec(FilterKind(args.filter), AbsoluteLambda(0.0)))
+    reports = lambda_sweep(dataset, base, values)
     _emit(reports, args.json)
     return 0
 

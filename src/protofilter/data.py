@@ -3,7 +3,7 @@ one-shot support-augmentation policy."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -237,54 +237,65 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
 
 @dataclass(frozen=True)
 class Episode:
-    """One C-way n-shot task: per-class support features plus labeled queries.
+    """One C-way n-shot task: a (C, n, d) support stack plus labeled queries.
 
-    ``support_indices`` mirror ``support`` with dataset row indices;
-    manufactured (augmented) vectors carry index -1.  Query labels are
-    dense episode-class indices; ``class_labels`` maps them back to
-    dataset labels.
+    ``support_indices`` is the (C, n) array of dataset row indices behind
+    ``support``; manufactured (augmented) vectors carry index -1.  Query
+    labels are dense episode-class indices; ``class_labels`` maps them
+    back to dataset labels.  Array-like fields are converted on
+    construction, so a tuple of equal-shaped per-class arrays is a valid
+    ``support``.
     """
 
     class_labels: tuple[str, ...]
-    support: tuple[np.ndarray, ...]
-    support_indices: tuple[tuple[int, ...], ...]
+    support: np.ndarray
+    support_indices: np.ndarray
     query_features: np.ndarray
     query_labels: np.ndarray
-    query_indices: tuple[int, ...]
+    query_indices: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.class_labels) < 2:
+        try:
+            support = np.asarray(self.support, dtype=np.float64)
+            support_indices = np.asarray(self.support_indices, dtype=np.intp)
+            queries = np.asarray(self.query_features, dtype=np.float64)
+            query_indices = np.asarray(self.query_indices, dtype=np.intp)
+        except (ValueError, TypeError) as exc:
+            raise DataError(f"episode arrays must be rectangular: {exc}") from None
+        labels = np.asarray(self.query_labels)
+        way = len(self.class_labels)
+        if way < 2:
             raise DataError("an episode needs at least two classes")
-        if len(self.support) != len(self.class_labels) or len(self.support_indices) != len(
-            self.class_labels
-        ):
-            raise DataError("per-class support arrays, indices, and labels disagree")
-        shots = {arr.shape[0] for arr in self.support}
-        if len(shots) != 1 or 0 in shots:
+        if support.ndim != 3 or support.shape[0] != way or support.shape[1] < 1:
             raise DataError(
-                f"all support classes must hold the same positive count, got {sorted(shots)}"
+                f"support must be a ({way}, n >= 1, d) stack, got shape {support.shape}"
             )
-        dims = {arr.shape[1] for arr in self.support}
-        dims.add(self.query_features.shape[1])
-        if len(dims) != 1:
-            raise DataError(f"support and query dimensions differ: {sorted(dims)}")
-        m = self.query_features.shape[0]
-        if m < 1:
-            raise DataError("an episode needs at least one query")
-        if self.query_labels.shape != (m,):
+        if support_indices.shape != support.shape[:2]:
             raise DataError(
-                f"{m} queries but {self.query_labels.shape} labels"
+                f"support indices of shape {support_indices.shape} do not match "
+                f"support of shape {support.shape}"
             )
-        if np.any(self.query_labels < 0) or np.any(self.query_labels >= self.way):
+        if queries.ndim != 2 or queries.shape[0] < 1 or queries.shape[1] != support.shape[2]:
+            raise DataError(
+                f"queries must be an (m >= 1, {support.shape[2]}) array, got shape {queries.shape}"
+            )
+        m = queries.shape[0]
+        if labels.shape != (m,):
+            raise DataError(f"{m} queries but {labels.shape} labels")
+        label_values = labels.tolist()  # Python min/max beat numpy's on a few labels
+        if min(label_values) < 0 or max(label_values) >= way:
             raise DataError("query labels must be dense episode-class indices")
-        if len(self.query_indices) != m:
-            raise DataError(f"{m} queries but {len(self.query_indices)} query indices")
-        support_rows = {i for cls in self.support_indices for i in cls if i >= 0}
-        overlap = support_rows & {i for i in self.query_indices if i >= 0}
+        if query_indices.shape != (m,):
+            raise DataError(f"{m} queries but query indices of shape {query_indices.shape}")
+        overlap = set(support_indices.ravel().tolist()).intersection(query_indices.tolist())
+        overlap = sorted(i for i in overlap if i >= 0)
         if overlap:
-            raise DataError(
-                f"support and query share dataset rows {sorted(overlap)[:5]}"
-            )
+            raise DataError(f"support and query share dataset rows {overlap[:5]}")
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "support_indices", support_indices)
+        object.__setattr__(self, "query_features", queries)
+        object.__setattr__(self, "query_labels", labels)
+        object.__setattr__(self, "query_indices", query_indices)
 
     @property
     def way(self) -> int:
@@ -292,15 +303,11 @@ class Episode:
 
     @property
     def shot(self) -> int:
-        return int(self.support[0].shape[0])
+        return self.support.shape[1]
 
     @property
     def dim(self) -> int:
-        return int(self.query_features.shape[1])
-
-    @property
-    def query_count_per_class(self) -> int:
-        return self.query_features.shape[0] // self.way
+        return self.support.shape[2]
 
 
 def sample_episode(dataset: Dataset, way: int, shot: int, query_per_class: int,
@@ -322,34 +329,24 @@ def sample_episode(dataset: Dataset, way: int, shot: int, query_per_class: int,
     if len(classes) < way:
         raise DataError(f"dataset has {len(classes)} classes, need {way}")
     need = shot + query_per_class
-    chosen = rng.choice(len(classes), size=way, replace=False)
-    supports: list[np.ndarray] = []
-    support_idx: list[tuple[int, ...]] = []
-    query_blocks: list[np.ndarray] = []
-    query_labels: list[int] = []
-    query_idx: list[int] = []
-    for slot, class_pos in enumerate(chosen):
-        label = classes[int(class_pos)]
+    labels = tuple(classes[c] for c in rng.choice(len(classes), size=way, replace=False))
+    rows = np.empty((way, need), dtype=np.intp)
+    for slot, label in enumerate(labels):
         members = dataset.class_indices(label)
         if members.shape[0] < need:
             raise DataError(
                 f"class {label!r} has {members.shape[0]} members, need {need} "
                 f"(shot {shot} + query {query_per_class})"
             )
-        pick = rng.choice(members.shape[0], size=need, replace=False)
-        rows = members[pick]
-        supports.append(dataset.features[rows[:shot]])
-        support_idx.append(tuple(int(r) for r in rows[:shot]))
-        query_blocks.append(dataset.features[rows[shot:]])
-        query_labels.extend([slot] * query_per_class)
-        query_idx.extend(int(r) for r in rows[shot:])
+        rows[slot] = members[rng.choice(members.shape[0], size=need, replace=False)]
+    query_rows = rows[:, shot:].ravel()
     return Episode(
-        class_labels=tuple(classes[int(c)] for c in chosen),
-        support=tuple(supports),
-        support_indices=tuple(support_idx),
-        query_features=np.vstack(query_blocks),
-        query_labels=np.array(query_labels, dtype=np.intp),
-        query_indices=tuple(query_idx),
+        class_labels=labels,
+        support=dataset.features[rows[:, :shot]],
+        support_indices=rows[:, :shot],
+        query_features=dataset.features[query_rows],
+        query_labels=np.repeat(np.arange(way), query_per_class),
+        query_indices=query_rows,
     )
 
 
@@ -405,16 +402,7 @@ def apply_one_shot_policy(episode: Episode, policy: Jitter | None,
         raise ConfigurationError(
             f"one-shot policy applied to a {episode.shot}-shot episode"
         )
-    new_support = []
-    new_indices = []
-    for class_arr, idx in zip(episode.support, episode.support_indices):
-        new_support.append(augment_one_shot(class_arr, policy, rng))
-        new_indices.append(idx + (-1,))
-    return Episode(
-        class_labels=episode.class_labels,
-        support=tuple(new_support),
-        support_indices=tuple(new_indices),
-        query_features=episode.query_features,
-        query_labels=episode.query_labels,
-        query_indices=episode.query_indices,
-    )
+    support = np.stack([augment_one_shot(single, policy, rng) for single in episode.support])
+    manufactured = np.full((episode.way, 1), -1, dtype=np.intp)
+    return replace(episode, support=support,
+                   support_indices=np.hstack([episode.support_indices, manufactured]))

@@ -7,6 +7,7 @@ eigendecompositions downstream are sensitive to Gram-matrix noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,9 +34,10 @@ class KernelSpec:
     bandwidth_sq: float | None = None
 
     def __post_init__(self) -> None:
-        if self.bandwidth_sq is not None and not self.bandwidth_sq > 0:
+        if self.bandwidth_sq is not None and not (
+                math.isfinite(self.bandwidth_sq) and self.bandwidth_sq > 0):
             raise ConfigurationError(
-                f"kernel bandwidth_sq must be positive, got {self.bandwidth_sq}"
+                f"kernel bandwidth_sq must be finite and positive, got {self.bandwidth_sq}"
             )
 
 

@@ -9,7 +9,7 @@ fresh batch is drawn per step from a counter-keyed stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -91,8 +91,8 @@ class TrainConfig:
             raise ConfigurationError(
                 f"learning_rate must be finite and positive, got {self.learning_rate}"
             )
-        if not self.fd_step > 0:
-            raise ConfigurationError(f"fd_step must be positive, got {self.fd_step}")
+        if not (math.isfinite(self.fd_step) and self.fd_step > 0):
+            raise ConfigurationError(f"fd_step must be finite and positive, got {self.fd_step}")
         if not (self.train_weights or self.train_zeta):
             raise ConfigurationError("nothing to train: enable train_weights or train_zeta")
         if self.master_seed < 0:
@@ -108,8 +108,8 @@ class TrainResult:
 
 def finite_difference_gradient(fn, x, step: float) -> np.ndarray:
     """Central-difference gradient of a scalar function of a flat vector."""
-    if not step > 0:
-        raise ConfigurationError(f"finite-difference step must be positive, got {step}")
+    if not (math.isfinite(step) and step > 0):
+        raise ConfigurationError(f"finite-difference step must be finite and positive, got {step}")
     x = np.asarray(x, dtype=np.float64)
     grad = np.empty_like(x)
     for j in range(x.shape[0]):
@@ -135,14 +135,8 @@ def sample_training_batch(dataset: Dataset, cfg: TrainConfig,
 
 
 def _embed_episode(episode: Episode, embedding: LinearEmbedding) -> Episode:
-    return Episode(
-        class_labels=episode.class_labels,
-        support=tuple(embedding.apply(s) for s in episode.support),
-        support_indices=episode.support_indices,
-        query_features=embedding.apply(episode.query_features),
-        query_labels=episode.query_labels,
-        query_indices=episode.query_indices,
-    )
+    return replace(episode, support=embedding.apply(episode.support),
+                   query_features=embedding.apply(episode.query_features))
 
 
 def episodes_loss(episodes, embedding: LinearEmbedding, zeta: float,

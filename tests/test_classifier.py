@@ -320,10 +320,12 @@ class TestClassifyEpisode:
         rng = np.random.default_rng(57)
         episode = _two_class_episode(rng, way=3, shot=3, queries=2, d=4)
         real = classifier.gram_query
+        calls = []
 
         def corrupted(spec, support, queries):
             kappa, k_qq = real(spec, support, queries)
-            if support is episode.support[1]:
+            calls.append(spec)
+            if len(calls) == 2:  # classes are visited in order: this is class 1
                 k_qq = k_qq.copy()
                 k_qq[4] -= 1e3  # drives query 4's centered norm negative
             return kappa, k_qq
@@ -362,9 +364,10 @@ class TestClassifyEpisode:
             real_query = classifier.gram_query
 
             def corrupted(spec, support, queries):
+                # class 0 comes first in every pass and its corruption ends
+                # the pass, so every call made is class 0's
                 kappa, k_qq = real_query(spec, support, queries)
-                if support is episode.support[0]:
-                    k_qq = k_qq - 1e3
+                k_qq = k_qq - 1e3
                 return kappa, k_qq
 
             monkeypatch.setattr(classifier, "gram_query", corrupted)

@@ -97,6 +97,29 @@ class TestCompare:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", [
+        ["--kernel", "rbf"], ["--filter", "tsvd"], ["--lambda", "1"], ["--rho", "0.5"],
+    ])
+    def test_method_flags_are_unrecognized(self, synth_json, flag, capsys):
+        # each --method names its kernel, filter and policy; these would be ignored
+        with pytest.raises(SystemExit) as exc:
+            run(["compare", "--synth", synth_json, "--episodes", "2",
+                 "--method", "a:identity:zero:none"] + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    def test_sigma2_reaches_rbf_methods(self, synth_json, tmp_path, capsys):
+        losses = []
+        for sigma2 in ("1", "9"):
+            out_path = tmp_path / f"cmp{sigma2}.json"
+            assert run(["compare", "--synth", synth_json, "--way", "3", "--shot", "2",
+                        "--query", "2", "--episodes", "2", "--sigma2", sigma2,
+                        "--method", "r:rbf:tikhonov:relative=0.1",
+                        "--json", str(out_path)]) == 0
+            losses.append(json.loads(out_path.read_text())[0]["mean_loss"])
+        assert losses[0] != losses[1]
+        capsys.readouterr()
+
 
 class TestSweep:
     def test_default_grid(self, synth_json, tmp_path, capsys):
@@ -118,6 +141,15 @@ class TestSweep:
         assert code == 0
         out = capsys.readouterr().out
         assert "lambda=0.5" in out and "lambda=2" in out
+
+    @pytest.mark.parametrize("flag", [["--lambda", "1"], ["--rho", "0.5"]])
+    def test_policy_flags_are_unrecognized(self, synth_json, flag, capsys):
+        # --lambdas sets the shrinkage; a policy flag would be ignored
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", "--synth", synth_json, "--episodes", "2",
+                 "--filter", "tikhonov"] + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 class TestSynthDump:
@@ -230,12 +262,19 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag, message", [
         ("--zeta0", "initial zeta must be finite"),
         ("--lr", "learning_rate must be finite"),
+        ("--fd-step", "fd_step must be finite"),
     ])
     def test_train_non_finite_scaling_is_config_error(self, synth_json, flag, message, capsys):
         code = run(["train", "--synth", synth_json, "--steps", "1", "--batch-episodes", "1",
                     "--filter", "tikhonov", "--lambda", "1", flag, "inf"])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_non_finite_bandwidth_is_config_error(self, synth_json, capsys):
+        code = run(["eval", "--synth", synth_json, "--episodes", "2", "--kernel", "rbf",
+                    "--sigma2", "inf", "--rho", "0.1"])
+        assert code == 2
+        assert "bandwidth_sq must be finite" in capsys.readouterr().err
 
     def test_train_has_no_zeta_flag(self, synth_json, capsys):
         # train scales by --zeta0; --zeta is an evaluation flag, not an abbreviation

@@ -168,8 +168,8 @@ class TestSampleEpisode:
     def test_counts(self):
         ds = self._dataset()
         ep = sample_episode(ds, 5, 5, 10, np.random.default_rng(1))
-        assert ep.way == 5 and ep.shot == 5 and ep.query_count_per_class == 10
-        assert sum(s.shape[0] for s in ep.support) == 25
+        assert ep.way == 5 and ep.shot == 5
+        assert ep.support.shape == (5, 5, 3)
         assert ep.query_features.shape == (50, 3)
 
     def test_forced_exhaustive_split(self):
@@ -183,8 +183,8 @@ class TestSampleEpisode:
         a = sample_episode(ds, 4, 3, 2, np.random.default_rng(33))
         b = sample_episode(ds, 4, 3, 2, np.random.default_rng(33))
         assert a.class_labels == b.class_labels
-        assert a.support_indices == b.support_indices
-        assert a.query_indices == b.query_indices
+        assert np.array_equal(a.support_indices, b.support_indices)
+        assert np.array_equal(a.query_indices, b.query_indices)
         assert np.array_equal(a.query_features, b.query_features)
 
     def test_insufficient_classes_names_deficit(self):
@@ -321,6 +321,42 @@ class TestEpisodeValidation:
                 query_labels=np.array([2]),
                 query_indices=(2,),
             )
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("support", (np.zeros((1, 2)), np.ones((1, 3)))),
+        ("support_indices", ((0, 1), (2, 3))),
+        ("support_indices", ((0,), (1, 2))),
+        ("query_features", np.zeros(2)),
+        ("query_features", np.zeros((1, 3))),
+        ("query_indices", (2, 3)),
+    ])
+    def test_rejects_shape_mismatch(self, field, value):
+        fields = dict(
+            class_labels=("a", "b"),
+            support=(np.zeros((1, 2)), np.ones((1, 2))),
+            support_indices=((0,), (1,)),
+            query_features=np.zeros((1, 2)),
+            query_labels=np.array([0]),
+            query_indices=(2,),
+        )
+        Episode(**fields)
+        with pytest.raises(DataError):
+            Episode(**{**fields, field: value})
+
+    def test_fields_are_stacked_arrays(self):
+        ep = Episode(
+            class_labels=("a", "b"),
+            support=[[[1.0, 2.0]], [[3.0, 4.0]]],
+            support_indices=((0,), (-1,)),
+            query_features=[[5.0, 6.0]],
+            query_labels=[1],
+            query_indices=(2,),
+        )
+        assert ep.support.shape == (2, 1, 2) and ep.support.dtype == np.float64
+        assert ep.support_indices.shape == (2, 1) and ep.support_indices.dtype == np.intp
+        assert ep.query_indices.shape == (1,) and ep.query_indices.dtype == np.intp
+        assert (ep.way, ep.shot, ep.dim) == (2, 1, 2)
 
 
 class TestDataset:

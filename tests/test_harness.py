@@ -112,8 +112,8 @@ class TestEpisodeStreamPairing:
         for index in range(10):
             ep_a = build_episode(ds, cfg_a, index)
             ep_b = build_episode(ds, cfg_b, index)
-            assert ep_a.support_indices == ep_b.support_indices
-            assert ep_a.query_indices == ep_b.query_indices
+            assert np.array_equal(ep_a.support_indices, ep_b.support_indices)
+            assert np.array_equal(ep_a.query_indices, ep_b.query_indices)
             assert ep_a.class_labels == ep_b.class_labels
 
     def test_identical_methods_get_identical_reports(self):

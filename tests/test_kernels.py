@@ -42,6 +42,11 @@ class TestKernelEval:
         with pytest.raises(ConfigurationError):
             KernelSpec(KernelKind.RBF, -2.0)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_bandwidth_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="bandwidth_sq must be finite"):
+            KernelSpec(KernelKind.RBF, value)
+
     def test_unresolved_rbf_bandwidth_rejected(self):
         with pytest.raises(ConfigurationError):
             kernel_eval(KernelSpec(KernelKind.RBF), [1.0], [2.0])

@@ -121,6 +121,13 @@ class TestFiniteDifferenceGradient:
         with pytest.raises(ConfigurationError):
             finite_difference_gradient(lambda x: 0.0, np.zeros(2), 0.0)
 
+    @pytest.mark.parametrize("step", [float("inf"), float("nan")])
+    def test_non_finite_step_rejected(self, step):
+        with pytest.raises(ConfigurationError, match="step must be finite"):
+            finite_difference_gradient(lambda x: 0.0, np.zeros(2), step)
+        with pytest.raises(ConfigurationError, match="fd_step must be finite"):
+            TrainConfig(steps=1, fd_step=step)
+
 
 class TestTrain:
     def test_zero_steps_returns_init(self):
