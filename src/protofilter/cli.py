@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .data import SYNTH_PRESETS, Dataset, Jitter, SynthConfig, load_csv, save_csv, synth_generate
 from .errors import ConfigurationError, DataError, NumericalError
 from .harness import (
@@ -308,7 +310,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # numpy's floating-point warnings would only print ahead of the
+        # library's own error (a non-finite distance or loss raises
+        # NumericalError) or flag a limit computed right, such as RBF
+        # entries of 0 once -d^2 / (2 sigma^2) overflows
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -63,12 +63,12 @@ def _rbf_bandwidth(spec: KernelSpec) -> float:
     return float(spec.bandwidth_sq)
 
 
-def _as_matrix(support) -> np.ndarray:
+def _as_stack(support) -> np.ndarray:
     try:
         s = np.asarray(support, dtype=np.float64)
     except (ValueError, TypeError) as exc:
         raise DataError(f"support vectors must share one dimension: {exc}") from None
-    if s.ndim != 2 or s.shape[0] < 1 or s.shape[1] < 1:
+    if s.ndim < 2 or 0 in s.shape:
         raise DataError(
             f"support must be a nonempty sequence of equal-length vectors, got shape {s.shape}"
         )
@@ -76,36 +76,41 @@ def _as_matrix(support) -> np.ndarray:
 
 
 def gram_support(spec: KernelSpec, support) -> np.ndarray:
-    """n x n support Gram matrix with entry (i, j) = k(s_i, s_j).
+    """n x n support Gram matrix with entry (i, j) = k(s_i, s_j); a stack of
+    them for a (..., n, d) stack of support sets.
 
     Exactly symmetric by construction (averaged with its own transpose).
     """
-    s = _as_matrix(support)
+    s = _as_stack(support)
     if spec.kind is KernelKind.IDENTITY:
-        k = s @ s.T
+        k = s @ s.swapaxes(-1, -2)
     else:
-        diff = s[:, None, :] - s[None, :, :]
-        sq = np.einsum("ijk,ijk->ij", diff, diff)
+        diff = s[..., :, None, :] - s[..., None, :, :]
+        sq = np.einsum("...ijk,...ijk->...ij", diff, diff)
         k = np.exp(-sq / (2.0 * _rbf_bandwidth(spec)))
-    return 0.5 * (k + k.T)
+    return 0.5 * (k + k.swapaxes(-1, -2))
 
 
 def gram_query(spec: KernelSpec, support, query) -> tuple[np.ndarray, float | np.ndarray]:
     """Kernel values of one query, or of each row of an (m, d) query block,
     against a support set: ``(kappa, k_qq)`` with ``kappa[..., i] = k(s_i, q)``
     and ``k_qq = k(q, q)``, a float for one query and an (m,) vector for a block.
+
+    A (..., n, d) stack of support sets takes a (..., m, d) stack of blocks,
+    one per set, and gives (..., m, n) and (..., m).
     """
-    s = _as_matrix(support)
+    s = _as_stack(support)
     q = np.asarray(query, dtype=np.float64)
-    if q.ndim not in (1, 2):
+    if q.ndim != s.ndim and not (q.ndim == 1 and s.ndim == 2):
         raise DataError(f"query must be a vector or an (m, d) block, got shape {q.shape}")
-    if q.shape[-1] != s.shape[1]:
-        raise DimensionMismatchError(s.shape[1], q.shape[-1], "query vector")
+    if q.shape[-1] != s.shape[-1]:
+        raise DimensionMismatchError(s.shape[-1], q.shape[-1], "query vector")
+    if q.shape[:-2] != s.shape[:-2]:
+        raise DataError(f"query stack {q.shape} does not match support stack {s.shape}")
     if spec.kind is KernelKind.IDENTITY:
-        kappa, k_qq = q @ s.T, np.einsum("...j,...j->...", q, q)
+        kappa, k_qq = q @ s.swapaxes(-1, -2), np.einsum("...j,...j->...", q, q)
     else:
-        diff = q[..., None, :] - s
+        diff = q[..., None, :] - (s if q.ndim == 1 else s[..., None, :, :])
         sq = np.einsum("...ij,...ij->...i", diff, diff)
         kappa, k_qq = np.exp(-sq / (2.0 * _rbf_bandwidth(spec))), np.ones(q.shape[:-1])
     return kappa, (float(k_qq) if q.ndim == 1 else k_qq)
-

@@ -40,14 +40,17 @@ _MAX_SWEEPS = 100
 @dataclass(frozen=True)
 class EigenSystem:
     """Eigenvalues (descending, clamped nonnegative) and orthonormal
-    eigenvectors (columns) of a centered support Gram matrix."""
+    eigenvectors (columns) of a centered support Gram matrix, or of each
+    matrix of a stack."""
 
     values: np.ndarray
     vectors: np.ndarray
 
     @property
-    def max_value(self) -> float:
-        return float(self.values[0])
+    def max_value(self) -> float | np.ndarray:
+        """Largest eigenvalue; one per spectrum of a stack."""
+        top = self.values[..., 0]
+        return float(top) if top.ndim == 0 else top
 
 
 class FilterKind(str, Enum):
@@ -94,9 +97,17 @@ class FilterSpec:
     lambda_policy: LambdaPolicy
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def _frobenius(a: np.ndarray) -> float:
+    """``np.linalg.norm`` of a C-contiguous matrix, bitwise, without its
+    dispatch cost (the eigensolver calls it once per sweep per matrix)."""
+    x = a.ravel()
+    return math.sqrt(x.dot(x))
+
+
+def _offdiag_norm(a: np.ndarray, offdiag: np.ndarray) -> float:
+    # times the 0/1 off-diagonal mask: bitwise ``a - diag(diag(a))``,
+    # non-finite entries included
+    return _frobenius(a * offdiag)
 
 
 def _rotate(a: np.ndarray, vecs: np.ndarray, p: int, q: int) -> None:
@@ -136,31 +147,24 @@ def _clamp_spectrum(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def symmetric_eig(matrix) -> EigenSystem:
-    """Eigendecomposition of a symmetric PSD matrix by cyclic Jacobi sweeps.
-
-    Converges when the off-diagonal Frobenius norm falls below 1e-11
-    (scaled by the matrix Frobenius norm when that exceeds one); errors
-    after 100 sweeps otherwise.  Eigenvalues below the clamp threshold
-    are stored as exactly zero; values below -1e-9 raise.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise DataError(f"matrix must be square, got shape {a.shape}")
-    if float(np.max(np.abs(a - a.T))) > _SYMMETRY_TOL:
+def _jacobi(a: np.ndarray, asymmetry: float) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped descending eigenvalues and their eigenvectors (columns, signs
+    not yet fixed) of one symmetrized matrix, which is rotated in place;
+    ``asymmetry`` is its largest |a - a^T| entry before symmetrizing."""
+    if asymmetry > _SYMMETRY_TOL:
         raise DataError(f"matrix is not symmetric within {_SYMMETRY_TOL:g}")
-    a = 0.5 * (a + a.T)
     n = a.shape[0]
     vecs = np.eye(n)
-    tol = _OFFDIAG_TOL * max(1.0, float(np.linalg.norm(a)))
+    offdiag = 1.0 - vecs
+    tol = _OFFDIAG_TOL * max(1.0, _frobenius(a))
     for _ in range(_MAX_SWEEPS):
-        if _offdiag_norm(a) <= tol:
+        if _offdiag_norm(a, offdiag) <= tol:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 _rotate(a, vecs, p, q)
     else:
-        residual = _offdiag_norm(a)
+        residual = _offdiag_norm(a, offdiag)
         if residual > tol:
             raise NumericalError(
                 f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps; "
@@ -168,14 +172,39 @@ def symmetric_eig(matrix) -> EigenSystem:
             )
     values = np.diag(a).copy()
     order = np.argsort(-values, kind="stable")
-    values = _clamp_spectrum(values[order])
-    vecs = vecs[:, order]
-    largest = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
-    return EigenSystem(values, np.where(largest < 0.0, -vecs, vecs))
+    return _clamp_spectrum(values[order]), vecs[:, order]
 
 
-def resolve_lambda(policy: LambdaPolicy, eigensystem: EigenSystem) -> float:
-    """Resolve a shrinkage policy against one class's spectrum."""
+def symmetric_eig(matrix) -> EigenSystem:
+    """Eigendecomposition of a symmetric PSD matrix by cyclic Jacobi sweeps;
+    of each matrix of a (..., n, n) stack, giving (..., n) values and
+    (..., n, n) vectors.
+
+    Converges when the off-diagonal Frobenius norm falls below 1e-11
+    (scaled by the matrix Frobenius norm when that exceeds one); errors
+    after 100 sweeps otherwise.  Eigenvalues below the clamp threshold
+    are stored as exactly zero; values below -1e-9 raise.  Every check
+    applies to each matrix of a stack, in order, and the first failing
+    matrix raises.
+    """
+    a = np.array(matrix, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or 0 in a.shape:
+        raise DataError(f"matrix must be square, got shape {a.shape}")
+    transposed = a.swapaxes(-1, -2)
+    asymmetry = np.abs(a - transposed).max(axis=(-2, -1))
+    a = 0.5 * (a + transposed)
+    values, vectors = np.empty(a.shape[:-1]), np.empty(a.shape)
+    for index in np.ndindex(a.shape[:-2]):  # a lone matrix has the one index ()
+        values[index], vectors[index] = _jacobi(a[index], float(asymmetry[index]))
+    # each eigenvector's largest-magnitude entry (the first of ties) is positive
+    largest = np.take_along_axis(vectors, np.argmax(np.abs(vectors), axis=-2)[..., None, :],
+                                 axis=-2)
+    return EigenSystem(values, np.where(largest < 0.0, -vectors, vectors))
+
+
+def resolve_lambda(policy: LambdaPolicy, eigensystem: EigenSystem) -> float | np.ndarray:
+    """Resolve a shrinkage policy against one class's spectrum (a relative
+    policy gives one value per spectrum of a stack)."""
     if isinstance(policy, AbsoluteLambda):
         return float(policy.value)
     if isinstance(policy, RelativeToMaxEigenvalue):
@@ -183,7 +212,7 @@ def resolve_lambda(policy: LambdaPolicy, eigensystem: EigenSystem) -> float:
     raise ConfigurationError(f"unknown shrinkage policy: {policy!r}")
 
 
-def shrinkage_weights(eigensystem: EigenSystem, spec: FilterSpec, lam: float) -> np.ndarray:
+def shrinkage_weights(eigensystem: EigenSystem, spec: FilterSpec, lam) -> np.ndarray:
     """Shrinkage weight w_i = h_i (2 - gamma_i h_i) of each eigencomponent.
 
     h is evaluated on the whole spectrum at once: zero filter 0, Tikhonov
@@ -192,27 +221,35 @@ def shrinkage_weights(eigensystem: EigenSystem, spec: FilterSpec, lam: float) ->
     vectors have no component along the null space, so there is nothing
     to filter, and a weight there would only scale the eigensolver's
     error in that component (by 2 / lambda under Tikhonov).  An all-zero
-    spectrum (1-shot) returns zeros without evaluating h at all, which a
-    relative policy (lambda = gamma = 0) would leave undefined.
+    spectrum (1-shot) gets zeros and is exempt from the checks below,
+    which a relative policy (lambda = gamma = 0) would fail.
+
+    A stack of spectra takes one lambda or one per spectrum; the rules
+    above, and the checks, apply to each spectrum.
     """
-    if lam < 0:
-        raise ConfigurationError(f"shrinkage parameter must be nonnegative, got {lam}")
+    lam = np.asarray(lam, dtype=np.float64)
+    if (lam < 0).any():
+        raise ConfigurationError(
+            f"shrinkage parameter must be nonnegative, got {float(lam[lam < 0][0])}"
+        )
     gamma = eigensystem.values
-    if spec.kind is FilterKind.ZERO or eigensystem.max_value == 0.0:
+    if spec.kind is FilterKind.ZERO:
         return np.zeros_like(gamma)
+    lam = lam[..., None]
+    live = gamma[..., :1] != 0.0  # not an all-zero spectrum, which keeps nothing
     if spec.kind is FilterKind.TIKHONOV:
-        if not (gamma + lam).all():
+        denom, kept = gamma + lam, gamma > 0.0
+        if not (denom.all() or ((denom != 0.0) | ~live).all()):
             raise NumericalError(
                 "Tikhonov filter weight undefined: eigenvalue and shrinkage "
                 "parameter are both zero"
             )
-        denom, kept = gamma + lam, gamma > 0.0
     else:
-        if lam <= 0.0:
+        if ((lam <= 0.0) & live).any():
             raise ConfigurationError(
                 "truncated-SVD filtering requires a strictly positive shrinkage parameter"
             )
-        denom, kept = gamma, gamma >= lam
+        denom, kept = gamma, (gamma >= lam) & live
     h = np.divide(1.0, denom, out=np.zeros_like(gamma), where=kept)
     return h * (2.0 - gamma * h)
 

@@ -9,12 +9,12 @@ fresh batch is drawn per step from a counter-keyed stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .classifier import classify_episode
+from .classifier import score_filters
 from .data import Dataset, Episode, Jitter, apply_one_shot_policy, sample_episode
 from .errors import ConfigurationError, NumericalError
 from .kernels import KernelSpec, resolve_kernel
@@ -46,6 +46,8 @@ class LinearEmbedding:
     @classmethod
     def identity(cls, d_in: int, d_out: int | None = None) -> "LinearEmbedding":
         d_out = d_in if d_out is None else d_out
+        if d_in < 1 or d_out < 1:
+            raise ConfigurationError(f"embedding dimensions must be >= 1, got {d_out} x {d_in}")
         return cls(np.eye(d_out, d_in))
 
     @property
@@ -106,20 +108,33 @@ class TrainResult:
     loss_history: tuple[float, ...]
 
 
+def _perturbations(x: np.ndarray, step: float) -> np.ndarray:
+    """The (2P, P) stack x + step e_0, x - step e_0, x + step e_1, ..."""
+    j = np.arange(x.shape[0])
+    stack = np.tile(x, (2 * j.size, 1))
+    stack[2 * j, j] = x + step
+    stack[2 * j + 1, j] = x - step
+    return stack
+
+
+def _central_differences(values: np.ndarray, step: float) -> np.ndarray:
+    """Gradient from the values of :func:`_perturbations`' rows."""
+    return (values[0::2] - values[1::2]) / (2.0 * step)
+
+
 def finite_difference_gradient(fn, x, step: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector."""
+    """Central-difference gradient of a scalar function of a flat vector:
+    ``fn`` is called on x + step e_0, x - step e_0, x + step e_1, ... in
+    that order, the rows :func:`train` scores as one stack."""
     if not (math.isfinite(step) and step > 0):
         raise ConfigurationError(f"finite-difference step must be finite and positive, got {step}")
     x = np.asarray(x, dtype=np.float64)
-    grad = np.empty_like(x)
-    for j in range(x.shape[0]):
-        bumped = x.copy()
-        bumped[j] = x[j] + step
-        high = fn(bumped)
-        bumped[j] = x[j] - step
-        low = fn(bumped)
-        grad[j] = (high - low) / (2.0 * step)
-    return grad
+    if x.ndim != 1 or x.size == 0:
+        raise ConfigurationError(
+            f"finite differences need a nonempty 1-D parameter vector, got shape {x.shape}"
+        )
+    values = np.array([fn(row) for row in _perturbations(x, step)], dtype=np.float64)
+    return _central_differences(values, step)
 
 
 def sample_training_batch(dataset: Dataset, cfg: TrainConfig,
@@ -134,9 +149,21 @@ def sample_training_batch(dataset: Dataset, cfg: TrainConfig,
     return episodes
 
 
-def _embed_episode(episode: Episode, embedding: LinearEmbedding) -> Episode:
-    return replace(episode, support=embedding.apply(episode.support),
-                   query_features=embedding.apply(episode.query_features))
+def _stacked_loss(episodes, weights: np.ndarray, zetas: np.ndarray,
+                  cfg: TrainConfig) -> np.ndarray:
+    """Mean episode loss of each of K (weights, zeta) rows, given as
+    (K, d_out, d_in) and (K,) stacks, over a fixed list of raw-feature
+    episodes: each episode is embedded for every row by one broadcast
+    matmul and scored once."""
+    kernel = resolve_kernel(cfg.kernel, weights.shape[-2])
+    maps = np.swapaxes(weights, -1, -2)
+    total = np.zeros(len(zetas))
+    for episode in episodes:
+        support = episode.support @ maps[:, None]
+        queries = episode.query_features @ maps
+        total += score_filters(support, queries, episode.query_labels, episode.class_labels,
+                               kernel, [cfg.filter], zetas)[0].loss
+    return total / len(episodes)
 
 
 def episodes_loss(episodes, embedding: LinearEmbedding, zeta: float,
@@ -145,12 +172,7 @@ def episodes_loss(episodes, embedding: LinearEmbedding, zeta: float,
     features mapped through the embedding."""
     if not episodes:
         raise ConfigurationError("episode list is empty")
-    kernel = resolve_kernel(cfg.kernel, embedding.d_out)
-    total = 0.0
-    for episode in episodes:
-        total += classify_episode(_embed_episode(episode, embedding), kernel,
-                                  cfg.filter, zeta).loss
-    return total / len(episodes)
+    return float(_stacked_loss(episodes, embedding.weights[None], np.array([zeta]), cfg)[0])
 
 
 def batch_loss(embedding: LinearEmbedding, zeta: float, dataset: Dataset,
@@ -169,17 +191,35 @@ def _pack(weights: np.ndarray, zeta: float, cfg: TrainConfig) -> np.ndarray:
 
 
 def _unpack(params: np.ndarray, weights: np.ndarray, zeta: float,
-            cfg: TrainConfig) -> tuple[np.ndarray, float]:
+            cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(K, P) parameter rows as (K, d_out, d_in) weights and (K,) zetas;
+    the part that is not trained stays at ``weights`` or ``zeta``."""
+    rows = params.shape[0]
+    out_w = np.broadcast_to(weights, (rows, *weights.shape))
+    out_z = np.full(rows, zeta)
     offset = 0
-    out_w = weights
-    out_z = zeta
     if cfg.train_weights:
         size = weights.size
-        out_w = params[:size].reshape(weights.shape)
+        out_w = params[:, :size].reshape(out_w.shape)
         offset = size
     if cfg.train_zeta:
-        out_z = float(params[offset])
+        out_z = params[:, offset]
     return out_w, out_z
+
+
+def _params_loss(episodes, params: np.ndarray, weights: np.ndarray, zeta: float,
+                 cfg: TrainConfig) -> np.ndarray:
+    """Frozen-batch loss of each (K, P) parameter row.  A row with a
+    nonpositive zeta or non-finite weights is a ConfigurationError."""
+    out_w, out_z = _unpack(params, weights, zeta, cfg)
+    bad_z = ~(out_z > 0)
+    bad = np.flatnonzero(bad_z | ~np.isfinite(out_w).all(axis=(-2, -1)))
+    if bad.size:
+        row = bad[0]
+        if bad_z[row]:
+            raise ConfigurationError(f"metric scaling became nonpositive ({float(out_z[row])})")
+        raise ConfigurationError("weights must all be finite")
+    return _stacked_loss(episodes, out_w, out_z, cfg)
 
 
 def train(dataset: Dataset, cfg: TrainConfig, init: LinearEmbedding,
@@ -211,21 +251,15 @@ def train(dataset: Dataset, cfg: TrainConfig, init: LinearEmbedding,
             np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(_TRAIN_DOMAIN, step))
         )
         episodes = sample_training_batch(dataset, cfg, rng)
-        frozen_w = weights
-        frozen_z = zeta
-
-        def objective(params: np.ndarray) -> float:
-            w, z = _unpack(params, frozen_w, frozen_z, cfg)
-            if not z > 0:
-                raise ConfigurationError(f"metric scaling became nonpositive ({z})")
-            return episodes_loss(episodes, LinearEmbedding(w), z, cfg)
-
         x0 = _pack(weights, zeta, cfg)
-        loss0 = objective(x0)
+        loss0 = float(_params_loss(episodes, x0[None], weights, zeta, cfg)[0])
         if not np.isfinite(loss0):
             raise NumericalError(f"step {step}: non-finite frozen-batch loss {loss0}")
         history.append(loss0)
-        gradient = finite_difference_gradient(objective, x0, cfg.fd_step)
+        # every perturbation of the frozen batch in one stacked evaluation
+        stack = _perturbations(x0, cfg.fd_step)
+        gradient = _central_differences(_params_loss(episodes, stack, weights, zeta, cfg),
+                                        cfg.fd_step)
         if not np.all(np.isfinite(gradient)):
             raise NumericalError(f"step {step}: non-finite finite-difference gradient")
         rate = cfg.learning_rate
@@ -233,7 +267,7 @@ def train(dataset: Dataset, cfg: TrainConfig, init: LinearEmbedding,
         for _ in range(_MAX_HALVINGS + 1):
             candidate = x0 - rate * gradient
             try:
-                cand_loss = objective(candidate)
+                cand_loss = float(_params_loss(episodes, candidate[None], weights, zeta, cfg)[0])
             except ConfigurationError:
                 cand_loss = float("inf")
             if np.isfinite(cand_loss) and cand_loss <= loss0:
@@ -245,8 +279,8 @@ def train(dataset: Dataset, cfg: TrainConfig, init: LinearEmbedding,
                 f"step {step}: frozen-batch loss failed to decrease after "
                 f"{_MAX_HALVINGS} learning-rate halvings"
             )
-        weights, zeta = _unpack(accepted, weights, zeta, cfg)
-        weights = weights.copy()
+        new_w, new_z = _unpack(accepted[None], weights, zeta, cfg)
+        weights, zeta = new_w[0].copy(), float(new_z[0])
     return TrainResult(LinearEmbedding(weights), zeta, tuple(history))
 
 

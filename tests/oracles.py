@@ -30,7 +30,14 @@ from protofilter import (
     NumericalError,
     resolve_kernel,
 )
-from protofilter.kernels import _as_matrix, _rbf_bandwidth
+from protofilter.kernels import _as_stack, _rbf_bandwidth
+
+
+def _as_matrix(support) -> np.ndarray:
+    s = _as_stack(support)
+    if s.ndim != 2:
+        raise DataError(f"support must be one (n, d) set of vectors, got shape {s.shape}")
+    return s
 
 
 def _as_vector(x, name: str) -> np.ndarray:

@@ -415,7 +415,9 @@ class TestClassifyEpisode:
 
 class TestQueryBlocks:
     """Every per-query function takes an (m, ...) block; each row of the
-    result is what a 1-D call on that row returns."""
+    result is what a 1-D call on that row returns.  Every stage function
+    also takes a stack with leading axes; each slice of the result is
+    bitwise what a call on that slice returns."""
 
     def test_block_equals_stacked_rows(self):
         rng = np.random.default_rng(59)
@@ -450,6 +452,75 @@ class TestQueryBlocks:
                         block, stacked, rtol=1e-12, atol=1e-12 * np.abs(stacked).max()
                     )
 
+    @pytest.mark.parametrize("kernel", ["identity", "rbf"])
+    def test_stack_equals_per_slice_calls(self, kernel):
+        rng = np.random.default_rng(61)
+        spec = IDENTITY if kernel == "identity" else rbf_for(4)
+        axes = (2, 3)
+        support = rng.standard_normal((*axes, 5, 4))
+        support[1, 2] = support[1, 2, 0]  # an all-zero centered spectrum
+        queries = rng.standard_normal((*axes, 6, 4))
+        k_ss = gram_support(spec, support)
+        ktilde = center_support(k_ss)
+        system = symmetric_eig(ktilde)
+        kappa, k_qq = gram_query(spec, support, queries)
+        b = center_cross(k_ss, kappa)
+        qn = centered_query_norm(k_ss, kappa, k_qq)
+        c2 = np.square(b @ system.vectors)
+        assert not system.values[1, 2].any() and system.values[0, 0].any()
+        slices = {}
+        for i in np.ndindex(axes):
+            s_k = gram_support(spec, support[i])
+            s_system = symmetric_eig(center_support(s_k))
+            s_kappa, s_qq = gram_query(spec, support[i], queries[i])
+            s_b = center_cross(s_k, s_kappa)
+            slices[i] = (s_system, np.square(s_b @ s_system.vectors),
+                         centered_query_norm(s_k, s_kappa, s_qq))
+            for block, piece in ((k_ss, s_k), (ktilde, center_support(s_k)),
+                                 (system.values, s_system.values),
+                                 (system.vectors, s_system.vectors),
+                                 (kappa, s_kappa), (k_qq, s_qq), (b, s_b)):
+                np.testing.assert_array_equal(block[i], piece)
+        labels = np.arange(6) % 3
+        zetas = np.array([0.5, 2.0])
+        for filter_spec in FILTER_GRID:
+            lam = resolve_lambda(filter_spec.lambda_policy, system)
+            w = shrinkage_weights(system, filter_spec, lam)
+            d = distance_sq(c2, w, qn)
+            # the stack's second axis as three classes of one query block
+            probs = class_probabilities(np.moveaxis(d, 1, 2), zetas)
+            loss = episode_loss(probs, labels)
+            for i in np.ndindex(axes):
+                s_system, s_c2, s_qn = slices[i]
+                s_lam = resolve_lambda(filter_spec.lambda_policy, s_system)
+                s_w = shrinkage_weights(s_system, filter_spec, s_lam)
+                np.testing.assert_array_equal(np.broadcast_to(lam, axes)[i], s_lam)
+                np.testing.assert_array_equal(w[i], s_w)
+                np.testing.assert_array_equal(d[i], distance_sq(s_c2, s_w, s_qn))
+            for j, zeta in enumerate(zetas):
+                s_probs = class_probabilities(d[j].T, zeta)
+                np.testing.assert_array_equal(probs[j], s_probs)
+                assert loss[j] == episode_loss(s_probs, labels)
+
+    @pytest.mark.parametrize("kernel", ["identity", "rbf"])
+    def test_stacked_scoring_equals_each_problem(self, kernel):
+        rng = np.random.default_rng(62)
+        spec = IDENTITY if kernel == "identity" else rbf_for(4)
+        episode = _two_class_episode(rng, way=3, shot=3, queries=3, d=4)
+        maps = rng.standard_normal((4, 4, 4))
+        support = episode.support @ maps[:, None]
+        queries = episode.query_features @ maps
+        zetas = np.array([0.5, 1.0, 2.0, 4.0])
+        stacked = classifier.score_filters(support, queries, episode.query_labels,
+                                           episode.class_labels, spec, FILTER_GRID, zetas)
+        for k, zeta in enumerate(zetas):
+            alone = classifier.score_filters(support[k], queries[k], episode.query_labels,
+                                             episode.class_labels, spec, FILTER_GRID, zeta)
+            for got, want in zip(stacked, alone):
+                for field in ("dist_sq", "probs", "predicted"):
+                    np.testing.assert_array_equal(getattr(got, field)[k], getattr(want, field))
+                assert got.loss[k] == want.loss
+
     def test_probabilities_block_equals_stacked_rows(self):
         rng = np.random.default_rng(60)
         dists = rng.uniform(0.0, 5.0, size=(7, 4))
@@ -465,6 +536,19 @@ class TestQueryBlocks:
             distance_sq([[0.0], [1.0]], [1.0], [0.0, 0.0])
         with pytest.raises(NumericalError, match="row 3 must"):
             class_probabilities([[1.0, 2.0]] * 3 + [[np.nan, 1.0]], 1.0)
+        # a stack names the query row of its first failing entry: (0, 2), not (1, 1)
+        with pytest.raises(NumericalError, match="row 2 is"):
+            centered_query_norm([[[1.0]]] * 2, [[[1.0]] * 3] * 2,
+                                [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        with pytest.raises(NumericalError, match="row 2 is"):
+            distance_sq([[[0.0], [0.0], [1.0]], [[1.0], [0.0], [0.0]]], [[1.0], [1.0]],
+                        np.zeros((2, 3)))
+        distances = np.ones((2, 3, 2))
+        distances[0, 2, 1] = distances[1, 1, 0] = np.inf
+        with pytest.raises(NumericalError, match="row 2 must"):
+            class_probabilities(distances, np.array([1.0, 1.0]))
+        with pytest.raises(ConfigurationError, match="got -1.0"):
+            class_probabilities(np.ones((2, 3, 2)), np.array([1.0, -1.0]))
 
     def test_block_clamps_each_row(self):
         value = centered_query_norm([[1.0]], [[1.0]] * 3, [1.0 - 5e-10, 1.0, 3.0])
@@ -481,6 +565,15 @@ class TestQueryBlocks:
             distance_sq(np.zeros((3, 2)), np.ones(2), 0.0)
         with pytest.raises(DataError):
             distance_sq(np.zeros((3, 3)), np.ones(2), np.zeros(3))
+        # a stack's leading axes must match
+        with pytest.raises(DataError):
+            distance_sq(np.zeros((2, 3, 2)), np.ones((3, 2)), np.zeros((2, 3)))
+        with pytest.raises(DataError):
+            centered_query_norm(np.ones((2, 1, 1)), np.ones((3, 4, 1)), np.ones((3, 4)))
+        with pytest.raises(DataError):
+            gram_query(IDENTITY, np.ones((2, 3, 4)), np.ones(4))
+        with pytest.raises(DataError):
+            class_probabilities(np.ones((2, 3, 2)), np.ones(3))
 
 
 class TestReplicatedMatrixDistance:

@@ -309,3 +309,56 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("name")
+
+
+PREFIXES = {2: "configuration error: ", 3: "data error: ", 4: "numerical error: "}
+POLICIES = {"none": [], "lambda0": ["--lambda", "0"], "lambda1": ["--lambda", "1"],
+            "rho0": ["--rho", "0"], "rho0.5": ["--rho", "0.5"]}
+
+
+def assert_documented_exit(args, capsys):
+    """The command exits 0 with nothing on stderr, or 2, 3 or 4 with the
+    matching error prefix; an exception escaping ``main`` (exit 1 with a
+    traceback) fails the test."""
+    code = run(args)
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert code in PREFIXES, (code, err)
+        assert err.startswith(PREFIXES[code]), (code, err)
+    return code
+
+
+class TestFlagTable:
+    """Every flag combination the parser accepts either works or fails with
+    its documented exit code and message."""
+
+    @pytest.mark.parametrize("one_shot", ["none", "jitter"])
+    @pytest.mark.parametrize("shot", ["1", "2"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("filter_kind", ["zero", "tikhonov", "tsvd"])
+    @pytest.mark.parametrize("kernel", ["identity", "rbf"])
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_method_grid(self, synth_json, command, kernel, filter_kind, policy, shot,
+                         one_shot, capsys):
+        sizes = (["--episodes", "2"] if command == "eval"
+                 else ["--steps", "1", "--batch-episodes", "2"])
+        assert_documented_exit(
+            [command, "--synth", synth_json, "--way", "3", "--shot", shot, "--query", "2",
+             *sizes, "--kernel", kernel, "--filter", filter_kind, *POLICIES[policy],
+             "--one-shot", one_shot], capsys)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--fd-step", "0"), ("--fd-step", "-1e-5"), ("--fd-step", "1e-300"),
+        ("--fd-step", "1e300"),
+        ("--zeta0", "0"), ("--zeta0", "-1"), ("--zeta0", "1e-300"), ("--zeta0", "1e300"),
+        ("--dout", "-1"), ("--dout", "0"), ("--dout", "1"), ("--dout", "3"), ("--dout", "4"),
+        ("--batch-episodes", "-1"), ("--batch-episodes", "0"), ("--batch-episodes", "1"),
+    ])
+    @pytest.mark.parametrize("freeze", [[], ["--freeze-zeta"]])
+    def test_train_boundary_values(self, synth_json, flag, value, freeze, capsys):
+        assert_documented_exit(
+            ["train", "--synth", synth_json, "--way", "3", "--shot", "2", "--query", "2",
+             "--steps", "1", "--batch-episodes", "2", "--filter", "tikhonov", "--lambda", "1",
+             *freeze, f"{flag}={value}"], capsys)

@@ -92,6 +92,28 @@ class TestSymmetricEig:
             symmetric_eig([[-1.0]])
 
 
+    def test_stack_runs_each_matrix(self):
+        rng = np.random.default_rng(39)
+        stack = np.stack([_random_centered_psd(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+        system = symmetric_eig(stack)
+        assert system.values.shape == (2, 3, 4) and system.vectors.shape == (2, 3, 4, 4)
+        for i in np.ndindex(2, 3):
+            one = symmetric_eig(stack[i])
+            np.testing.assert_array_equal(system.values[i], one.values)
+            np.testing.assert_array_equal(system.vectors[i], one.vectors)
+        np.testing.assert_array_equal(system.max_value, system.values[..., 0])
+
+    def test_stack_raises_for_its_first_failing_matrix(self):
+        psd = _random_centered_psd(np.random.default_rng(40), 3)
+        asymmetric = np.triu(np.ones((3, 3)))
+        with pytest.raises(NumericalError, match="not positive semidefinite"):
+            symmetric_eig(np.stack([psd, -np.eye(3), asymmetric]))
+        with pytest.raises(DataError, match="not symmetric"):
+            symmetric_eig(np.stack([psd, asymmetric, -np.eye(3)]))
+        with pytest.raises(DataError, match="square"):
+            symmetric_eig(np.zeros((2, 3, 2)))
+
+
 class TestFilterWeight:
     """The scalar filter function of the reference oracles."""
 
@@ -206,6 +228,23 @@ class TestShrinkageWeights:
             shrinkage_weights(system, TIKHONOV, 0.0)  # the centered null direction
         full_rank = EigenSystem(np.array([4.0, 1.0]), np.eye(2))
         np.testing.assert_array_equal(shrinkage_weights(full_rank, TIKHONOV, 0.0), [0.25, 1.0])
+
+    def test_stack_applies_the_rules_per_spectrum(self):
+        # an all-zero (1-shot) spectrum is exempt from the checks that the
+        # other spectra of its stack must pass
+        vectors = np.stack([np.eye(2)] * 2)
+        full = EigenSystem(np.array([[0.0, 0.0], [4.0, 1.0]]), vectors)
+        np.testing.assert_array_equal(shrinkage_weights(full, TIKHONOV, 0.0),
+                                      [[0.0, 0.0], [0.25, 1.0]])
+        np.testing.assert_array_equal(shrinkage_weights(full, TSVD, np.array([0.0, 2.0])),
+                                      [[0.0, 0.0], [0.25, 0.0]])
+        deficient = EigenSystem(np.array([[0.0, 0.0], [4.0, 0.0]]), vectors)
+        with pytest.raises(NumericalError, match="both zero"):
+            shrinkage_weights(deficient, TIKHONOV, 0.0)
+        with pytest.raises(ConfigurationError, match="strictly positive"):
+            shrinkage_weights(full, TSVD, np.array([2.0, 0.0]))
+        with pytest.raises(ConfigurationError, match="got -1.0"):
+            shrinkage_weights(full, TSVD, np.array([1.0, -1.0]))
 
 
 class TestSpectralProperties:

@@ -1,5 +1,9 @@
 """Finite-difference training of the linear embedding and metric scaling."""
 
+import math
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,18 +13,23 @@ from protofilter import (
     Dataset,
     FilterKind,
     FilterSpec,
+    Jitter,
+    KernelKind,
+    KernelSpec,
     LinearEmbedding,
     SYNTH_PRESETS,
     SynthConfig,
     TrainConfig,
     batch_loss,
+    classify_episode,
     finite_difference_gradient,
+    resolve_kernel,
     sample_training_batch,
     save_embedding,
     synth_generate,
     train,
 )
-from protofilter.training import episodes_loss
+from protofilter.training import _TRAIN_DOMAIN, episodes_loss
 
 TIK1 = FilterSpec(FilterKind.TIKHONOV, AbsoluteLambda(1.0))
 ZERO = FilterSpec(FilterKind.ZERO, AbsoluteLambda(0.0))
@@ -45,6 +54,63 @@ def forced_dataset():
     x = np.array([1.0, 0.5, -0.3, 0.2])
     y = np.array([-1.0, 0.4, 0.8, -0.6])
     return Dataset(np.vstack([x, x, y, y]), ["a", "a", "b", "b"])
+
+
+def reference_loss(episodes, weights, zeta, cfg):
+    """The frozen-batch objective one scalar evaluation at a time:
+    ``classify_episode`` on each embedded episode."""
+    embedding = LinearEmbedding(weights)
+    kernel = resolve_kernel(cfg.kernel, embedding.d_out)
+    total = 0.0
+    for episode in episodes:
+        embedded = replace(episode, support=embedding.apply(episode.support),
+                           query_features=embedding.apply(episode.query_features))
+        total += classify_episode(embedded, kernel, cfg.filter, zeta).loss
+    return total / len(episodes)
+
+
+def reference_train(dataset, cfg, init, zeta0):
+    """``train`` by its definition: per step, the loss of the frozen batch,
+    ``finite_difference_gradient`` of :func:`reference_loss`, and the
+    first of the halved learning rates that does not raise that loss."""
+    weights, zeta = init.weights.copy(), float(zeta0)
+    history = []
+    for step in range(cfg.steps):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(_TRAIN_DOMAIN, step)))
+        episodes = sample_training_batch(dataset, cfg, rng)
+
+        def unpack(x, weights=weights, zeta=zeta):
+            size = weights.size if cfg.train_weights else 0
+            w = x[:size].reshape(weights.shape) if cfg.train_weights else weights
+            return w, (float(x[size]) if cfg.train_zeta else zeta)
+
+        def objective(x, episodes=episodes, unpack=unpack):
+            w, z = unpack(x)
+            if not z > 0:
+                raise ConfigurationError("metric scaling became nonpositive")
+            return reference_loss(episodes, w, z, cfg)
+
+        x0 = np.concatenate(([weights.ravel()] if cfg.train_weights else [])
+                            + ([np.array([zeta])] if cfg.train_zeta else []))
+        loss0 = objective(x0)
+        history.append(loss0)
+        gradient = finite_difference_gradient(objective, x0, cfg.fd_step)
+        rate = cfg.learning_rate
+        for _ in range(11):
+            candidate = x0 - rate * gradient
+            try:
+                cand_loss = objective(candidate)
+            except ConfigurationError:
+                cand_loss = math.inf
+            if math.isfinite(cand_loss) and cand_loss <= loss0:
+                break
+            rate *= 0.5
+        else:
+            raise AssertionError(f"step {step}: no rate lowered the loss")
+        weights, zeta = unpack(candidate)
+        weights = weights.copy()
+    return weights, zeta, tuple(history)
 
 
 class TestLinearEmbedding:
@@ -81,6 +147,18 @@ class TestBatchLoss:
         loss = batch_loss(LinearEmbedding.identity(ds.dim), 10.0, ds, cfg, np.random.default_rng(1))
         assert loss < 0.01
 
+    def test_episodes_of_different_shapes(self):
+        ds = small_task()
+        rng = np.random.default_rng(8)
+        episodes = (sample_training_batch(ds, small_cfg(batch_episodes=2), rng)
+                    + sample_training_batch(ds, small_cfg(way=3, shot=3, batch_episodes=2), rng)
+                    + sample_training_batch(ds, small_cfg(shot=1, query_per_class=3,
+                                                          batch_episodes=1), rng))
+        weights = rng.standard_normal((3, 4))
+        cfg = small_cfg()
+        want = reference_loss(episodes, weights, 0.7, cfg)
+        assert episodes_loss(episodes, LinearEmbedding(weights), 0.7, cfg) == want
+
     def test_deterministic_for_fixed_stream(self):
         ds = small_task()
         cfg = small_cfg()
@@ -116,6 +194,11 @@ class TestFiniteDifferenceGradient:
         g6 = finite_difference_gradient(objective, x0, 1e-6)
         rel = np.linalg.norm(g5 - g6) / np.linalg.norm(g6)
         assert rel <= 1e-3
+
+    @pytest.mark.parametrize("x", [np.ones((2, 2)), np.float64(1.0), np.zeros(0)])
+    def test_non_vector_rejected(self, x):
+        with pytest.raises(ConfigurationError, match=re.escape(f"got shape {np.shape(x)}")):
+            finite_difference_gradient(lambda v: float(np.sum(v**2)), x, 1e-3)
 
     def test_nonpositive_step_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -156,6 +239,31 @@ class TestTrain:
         assert np.all(np.diff(history) <= 1e-12)
         # separable data: the loss minimizer pushes the scaling upward
         assert result.zeta > 0.5
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"train_zeta": False},
+        {"train_weights": False},
+        {"shot": 1, "one_shot": Jitter(0.1)},
+        {"kernel": KernelSpec(KernelKind.RBF)},
+    ], ids=["criterion10", "frozen_zeta", "frozen_weights", "jitter", "rbf"])
+    def test_matches_reference_steps(self, overrides):
+        # train scores every perturbation of a frozen episode in one stacked
+        # evaluation; the reference makes one scalar evaluation per perturbation
+        ds = small_task()
+        cfg = small_cfg(**overrides)
+        init = LinearEmbedding.identity(4)
+        got = train(ds, cfg, init, 1.0)
+        weights, zeta, history = reference_train(ds, cfg, init, 1.0)
+        assert len(got.loss_history) == cfg.steps
+        if cfg.kernel.kind is KernelKind.RBF:
+            np.testing.assert_allclose(got.loss_history, history, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got.embedding.weights, weights, rtol=0.0, atol=1e-9)
+            assert got.zeta == pytest.approx(zeta, rel=1e-9)
+        else:
+            assert got.loss_history == history
+            assert got.embedding.weights.tobytes() == weights.tobytes()
+            assert got.zeta == zeta
 
     def test_deterministic(self):
         ds = small_task()
